@@ -174,7 +174,7 @@ var benchNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // scenario) fails validation instead of passing with a hole in it.
 var requiredScenarios = []string{
 	"build", "query_sample", "query_exact", "append",
-	"exec_interpreted", "exec_planned", "exec_plan_cold",
+	"exec_interpreted", "exec_planned",
 	"qos_baseline", "qos_coalesced", "qos_shed",
 	"metrics_render",
 }

@@ -151,21 +151,14 @@ type QueryRequest struct {
 	// response (QueryResponse.Trace).
 	Debug bool `json:"debug,omitempty"`
 	// Explain returns the compiled physical plan that answered the
-	// query (QueryResponse.Plan). Queries outside the planner's subset
-	// are answered by the row interpreter and carry no plan.
+	// query (QueryResponse.Plan).
 	Explain bool `json:"explain,omitempty"`
 }
 
-// Executor values for QueryResponse.Executor.
-const (
-	// ExecutorColumnar is the compiled-plan vectorized executor
-	// (internal/plan): typed per-column loops over row batches.
-	ExecutorColumnar = "columnar"
-	// ExecutorInterpreted is the row-at-a-time AST interpreter
-	// (internal/exec), the reference oracle and the fallback for
-	// queries the planner does not support.
-	ExecutorInterpreted = "interpreted"
-)
+// ExecutorColumnar is the one value of QueryResponse.Executor: the
+// compiled-plan vectorized executor (internal/plan), typed per-column
+// loops over row batches, which answers every query.
+const ExecutorColumnar = "columnar"
 
 // PlanNode is one operator of a compiled physical plan, returned on
 // QueryResponse.Plan when the request sets explain=true. Children are
@@ -213,15 +206,15 @@ type QueryResponse struct {
 	// queueing for) the autoscaled one: the estimate is honest but the
 	// requested CV goal was not enforced — AchievedCV (when present)
 	// reports the guarantee of the sample that actually answered.
-	Degraded bool       `json:"degraded,omitempty"`
-	Sets     [][]string `json:"sets"`
-	AggLabels    []string   `json:"agg_labels"`
-	Groups       []Group    `json:"groups"`
-	// Executor names the engine that computed the answer:
-	// ExecutorColumnar or ExecutorInterpreted.
+	Degraded  bool       `json:"degraded,omitempty"`
+	Sets      [][]string `json:"sets"`
+	AggLabels []string   `json:"agg_labels"`
+	Groups    []Group    `json:"groups"`
+	// Executor names the engine that computed the answer; always
+	// ExecutorColumnar.
 	Executor string `json:"executor,omitempty"`
 	// Plan is the compiled physical plan, present only when the request
-	// set explain=true and the columnar executor answered.
+	// set explain=true.
 	Plan *PlanNode `json:"plan,omitempty"`
 	// Trace is the request's per-phase timing, present only when the
 	// request set debug=true.
@@ -245,8 +238,8 @@ type StreamRequest struct {
 	TargetCV  float64 `json:"target_cv,omitempty"`
 	MaxBudget int     `json:"max_budget,omitempty"`
 	Norm      string  `json:"norm,omitempty"`
-	P      float64 `json:"p,omitempty"`
-	Seed   int64   `json:"seed,omitempty"`
+	P         float64 `json:"p,omitempty"`
+	Seed      int64   `json:"seed,omitempty"`
 	// Capacity is the per-stratum reservoir capacity (the streaming
 	// memory/accuracy knob; 0 = server default).
 	Capacity int `json:"capacity,omitempty"`

@@ -23,9 +23,11 @@ import (
 
 	apiv1 "repro/internal/api/v1"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/ingest"
 	"repro/internal/qos"
 	"repro/internal/serve"
+	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
 
@@ -55,7 +57,7 @@ const benchRows = 4096
 // execRows sizes the executor-comparison table. The exec_* scenarios
 // measure per-row execution cost (interpreted closures vs columnar
 // batches), so they want enough rows that the fixed costs — parse,
-// plan-cache lookup, result assembly — disappear into the noise.
+// compile, result assembly — disappear into the noise.
 const execRows = 32768
 
 // benchTable builds the scenario table: one group column with a few
@@ -199,55 +201,36 @@ func Scenarios(ctx context.Context) []Scenario {
 			},
 		},
 		{
-			// the row interpreter on the grouped-aggregate query: the
+			// the row interpreter (the reference oracle, called directly)
+			// on the grouped-aggregate query, parse included: the
 			// baseline the compiled plans are measured against
 			Name: "exec_interpreted",
 			Run: func(b *testing.B) {
-				reg := newExecReg(b)
-				defer reg.Close()
+				tbl := execTable("benchx")
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := reg.Query(ctx, execSQL, serve.QueryOptions{
-						Mode: serve.ModeExact, Executor: serve.ExecInterpreted,
-					}); err != nil {
+					q, err := sqlparse.Parse(execSQL)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := exec.Run(tbl, q); err != nil {
 						b.Fatal(err)
 					}
 				}
 			},
 		},
 		{
-			// the columnar executor with a warm plan cache: the steady
-			// state of a repeated dashboard query
+			// the registry's query path on the same query: parse,
+			// compile and columnar execution, as every query runs
 			Name: "exec_planned",
 			Run: func(b *testing.B) {
 				reg := newExecReg(b)
 				defer reg.Close()
-				if _, err := reg.Query(ctx, execSQL, serve.QueryOptions{Mode: serve.ModeExact}); err != nil {
-					b.Fatal(err)
-				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := reg.Query(ctx, execSQL, serve.QueryOptions{Mode: serve.ModeExact}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		},
-		{
-			// a never-before-seen query per iteration (the LIMIT varies,
-			// changing the normalized-SQL cache key): compile + execute,
-			// the plan cache's worst case
-			Name: "exec_plan_cold",
-			Run: func(b *testing.B) {
-				reg := newExecReg(b)
-				defer reg.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sql := fmt.Sprintf("%s LIMIT %d", execSQL, 1_000_000+i)
-					if _, err := reg.Query(ctx, sql, serve.QueryOptions{Mode: serve.ModeExact}); err != nil {
 						b.Fatal(err)
 					}
 				}

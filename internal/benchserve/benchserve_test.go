@@ -11,7 +11,7 @@ import (
 func TestScenarioNamesStable(t *testing.T) {
 	scs := Scenarios(context.Background())
 	want := []string{"build", "query_sample", "query_exact", "append",
-		"exec_interpreted", "exec_planned", "exec_plan_cold",
+		"exec_interpreted", "exec_planned",
 		"qos_baseline", "qos_coalesced", "qos_shed", "metrics_render"}
 	if len(scs) != len(want) {
 		t.Fatalf("got %d scenarios, want %d", len(scs), len(want))
@@ -42,8 +42,8 @@ func TestRunSingleIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 11 {
-		t.Fatalf("got %d results, want 11", len(results))
+	if len(results) != 10 {
+		t.Fatalf("got %d results, want 10", len(results))
 	}
 	for _, r := range results {
 		if r.Iterations < 1 || r.NsPerOp <= 0 {

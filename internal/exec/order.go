@@ -9,110 +9,20 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// havingFn evaluates a HAVING predicate for one group given the
-// finalized aggregate-site values.
-type havingFn func(siteVals []float64) bool
-
-// compileHaving compiles a HAVING expression: boolean combinations of
-// comparisons between aggregate expressions and numeric literals.
-// References to plain columns are rejected (standard SQL would allow
-// grouped columns; restricting to aggregates keeps the surface the
-// paper's workloads need while staying unambiguous under CUBE, where a
-// grouped column is absent from some grouping sets).
-func (c *compiledQuery) compileHaving(e sqlparse.Expr) (havingFn, error) {
-	switch n := e.(type) {
-	case *sqlparse.BinaryExpr:
-		switch n.Op {
-		case "AND", "OR":
-			left, err := c.compileHaving(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			right, err := c.compileHaving(n.Right)
-			if err != nil {
-				return nil, err
-			}
-			if n.Op == "AND" {
-				return func(v []float64) bool { return left(v) && right(v) }, nil
-			}
-			return func(v []float64) bool { return left(v) || right(v) }, nil
-		case "=", "!=", "<", "<=", ">", ">=":
-			left, err := c.compileAggItem(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			right, err := c.compileAggItem(n.Right)
-			if err != nil {
-				return nil, err
-			}
-			op := n.Op
-			return func(v []float64) bool {
-				a, b := left(v), right(v)
-				switch op {
-				case "=":
-					return a == b
-				case "!=":
-					return a != b
-				case "<":
-					return a < b
-				case "<=":
-					return a <= b
-				case ">":
-					return a > b
-				default:
-					return a >= b
-				}
-			}, nil
-		}
-		return nil, fmt.Errorf("exec: operator %q not supported in HAVING", n.Op)
-	case *sqlparse.UnaryExpr:
-		if n.Op != "NOT" {
-			return nil, fmt.Errorf("exec: operator %q not supported in HAVING", n.Op)
-		}
-		inner, err := c.compileHaving(n.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return func(v []float64) bool { return !inner(v) }, nil
-	case *sqlparse.BetweenExpr:
-		x, err := c.compileAggItem(n.Expr)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.compileAggItem(n.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.compileAggItem(n.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return func(v []float64) bool {
-			val := x(v)
-			return val >= lo(v) && val <= hi(v)
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: HAVING must be a boolean expression over aggregates, got %T", e)
-}
-
-// OrderSpec is one resolved ORDER BY key. Exported (with opaque fields)
-// so the planned executor (internal/plan) shares the interpreter's exact
-// ordering semantics: both resolve via ResolveOrderBy and sort via
-// ApplyOrderAndLimit, so the two engines cannot drift on tie-breaking,
-// NaN placement or numeric-vs-string ordering.
-type OrderSpec struct {
+// orderSpec is one resolved ORDER BY key.
+type orderSpec struct {
 	aggIdx int    // >= 0: sort by Aggs[aggIdx]
 	attr   string // when aggIdx < 0: sort by this group attribute
 	desc   bool
 }
 
-// ResolveOrderBy matches ORDER BY items against the query's outputs: a
+// resolveOrderBy matches ORDER BY items against the query's outputs: a
 // plain column must be a group-by attribute; anything else must match a
 // select item by alias or by rendered expression.
-func ResolveOrderBy(q *sqlparse.Query) ([]OrderSpec, error) {
-	var specs []OrderSpec
+func resolveOrderBy(q *sqlparse.Query) ([]orderSpec, error) {
+	var specs []orderSpec
 	for _, item := range q.OrderBy {
-		spec := OrderSpec{aggIdx: -1, desc: item.Desc}
+		spec := orderSpec{aggIdx: -1, desc: item.Desc}
 		if ref, ok := item.Expr.(*sqlparse.ColumnRef); ok {
 			matched := false
 			for _, g := range q.GroupBy {
@@ -170,9 +80,9 @@ func aggIndexOf(q *sqlparse.Query, selIdx int) int {
 	return -1
 }
 
-// ApplyOrderAndLimit sorts result rows by the resolved keys (stable,
+// applyOrderAndLimit sorts result rows by the resolved keys (stable,
 // ties broken by grouping set then key) and truncates to the limit.
-func ApplyOrderAndLimit(res *Result, specs []OrderSpec, limit int) {
+func applyOrderAndLimit(res *Result, specs []orderSpec, limit int) {
 	if len(specs) > 0 {
 		attrPos := make([]map[string]int, len(res.Sets))
 		for si, set := range res.Sets {
@@ -181,7 +91,7 @@ func ApplyOrderAndLimit(res *Result, specs []OrderSpec, limit int) {
 				attrPos[si][a] = i
 			}
 		}
-		keyOf := func(r *Row, s OrderSpec) (num float64, str string, isNum bool) {
+		keyOf := func(r *Row, s orderSpec) (num float64, str string, isNum bool) {
 			if s.aggIdx >= 0 {
 				return r.Aggs[s.aggIdx], "", true
 			}

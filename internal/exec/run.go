@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -75,185 +74,61 @@ func (r *Result) Index() map[string][]float64 {
 // KeyOf is the exported key renderer matching Index.
 func KeyOf(set int, key []string) string { return keyString(set, key) }
 
-// aggKind is the aggregation function of one aggregate call site.
-type aggKind uint8
-
-const (
-	aggAvg aggKind = iota
-	aggSum
-	aggCount   // COUNT(*) and COUNT(expr): we have no NULLs, both count rows
-	aggCountIf // COUNT_IF(pred)
-	aggMin
-	aggMax
-	aggVar    // VAR(expr): population variance (Section 5 extension)
-	aggStdDev // STDDEV(expr)
-)
-
 // aggSite is one aggregate call discovered in the select list.
 type aggSite struct {
-	kind aggKind
+	kind AggKind
 	arg  scalarFn // nil for COUNT(*)
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	sumW, sumWX float64
-	sumWX2      float64 // weighted sum of squares, for VAR/STDDEV and SE
-	sumW2       float64 // Σw², for SE of AVG
-	sumW2X      float64 // Σw²x
-	sumW2X2     float64 // Σw²x²
-	nObs        int64   // number of sampled rows contributing
-	minV, maxV  float64
-	seen        bool
-}
-
-func (s *aggState) update(site *aggSite, row int, w float64) {
+// update folds row r (weight w) into the site's accumulator for one
+// group, converting the argument the way the site's kind consumes it.
+func (site *aggSite) update(s *Acc, row int, w float64) {
 	switch site.kind {
-	case aggAvg, aggSum:
-		x := site.arg(row).asNum()
-		s.accumulate(x, w)
-	case aggVar, aggStdDev:
-		x := site.arg(row).asNum()
-		s.accumulate(x, w)
-	case aggCount:
-		s.accumulate(1, w)
-	case aggCountIf:
+	case AggCount:
+		s.Accumulate(1, w)
+	case AggCountIf:
 		x := 0.0
 		if site.arg(row).truthy() {
 			x = 1
 		}
-		s.accumulate(x, w)
-	case aggMin, aggMax:
-		x := site.arg(row).asNum()
-		if !s.seen {
-			s.minV, s.maxV = x, x
-			s.seen = true
-		} else {
-			if x < s.minV {
-				s.minV = x
-			}
-			if x > s.maxV {
-				s.maxV = x
-			}
-		}
-	}
-}
-
-// accumulate folds one weighted observation, tracking the second-order
-// moments the SE estimators need.
-func (s *aggState) accumulate(x, w float64) {
-	s.sumW += w
-	s.sumWX += w * x
-	s.sumWX2 += w * x * x
-	s.sumW2 += w * w
-	s.sumW2X += w * w * x
-	s.sumW2X2 += w * w * x * x
-	s.nObs++
-}
-
-// stdErr estimates the standard error of the finalized aggregate using
-// the weighted linearization with a finite-population correction
-// 1 − k/Σw (exact for simple random sampling within a group; zero when
-// the "sample" is the whole population, i.e. unit weights):
-//
-//	AVG: sqrt(fpc · Σw²(x−x̄)²) / Σw
-//	SUM/COUNT/COUNT_IF (totals): sqrt(fpc · (k·Σw²x² − Ŷ²)/(k−1)),
-//	  the classical with-replacement PPS estimator for Ŷ = Σwx.
-func (s *aggState) stdErr(kind aggKind) float64 {
-	if s.nObs == 0 || s.sumW <= 0 {
-		return math.NaN()
-	}
-	fpc := 1 - float64(s.nObs)/s.sumW
-	if fpc < 0 {
-		fpc = 0
-	}
-	switch kind {
-	case aggAvg:
-		mean := s.sumWX / s.sumW
-		v := s.sumW2X2 - 2*mean*s.sumW2X + mean*mean*s.sumW2
-		if v < 0 {
-			v = 0
-		}
-		return math.Sqrt(v*fpc) / s.sumW
-	case aggSum, aggCount, aggCountIf:
-		if s.nObs < 2 {
-			if fpc == 0 {
-				return 0 // single fully-weighted row: no sampling error
-			}
-			return math.NaN()
-		}
-		k := float64(s.nObs)
-		v := (k*s.sumW2X2 - s.sumWX*s.sumWX) / (k - 1)
-		if v < 0 {
-			v = 0
-		}
-		return math.Sqrt(v * fpc)
-	default:
-		return math.NaN()
-	}
-}
-
-func (s *aggState) final(kind aggKind) float64 {
-	switch kind {
-	case aggAvg:
-		if s.sumW == 0 {
-			return math.NaN()
-		}
-		return s.sumWX / s.sumW
-	case aggSum, aggCount, aggCountIf:
-		return s.sumWX
-	case aggVar, aggStdDev:
-		if s.sumW == 0 {
-			return math.NaN()
-		}
-		mean := s.sumWX / s.sumW
-		v := s.sumWX2/s.sumW - mean*mean
-		if v < 0 {
-			v = 0
-		}
-		if kind == aggStdDev {
-			return math.Sqrt(v)
-		}
-		return v
-	case aggMin:
-		if !s.seen {
-			return math.NaN()
-		}
-		return s.minV
-	default: // aggMax
-		if !s.seen {
-			return math.NaN()
-		}
-		return s.maxV
+		s.Accumulate(x, w)
+	case AggMin, AggMax:
+		s.Observe(site.arg(row).asNum())
+	default: // AVG, SUM, VAR, STDDEV
+		s.Accumulate(site.arg(row).asNum(), w)
 	}
 }
 
 // compiledQuery is a query bound to a table.
 type compiledQuery struct {
+	*Outputs
 	tbl       *table.Table
 	where     scalarFn // nil = all rows
 	groupCols []*table.Column
-	sets      [][]int // per grouping set: positions into groupCols
-	setNames  [][]string
 	sites     []*aggSite
-	// outputs: for each aggregate select item, a function combining site
-	// values into the item value.
-	items []func(siteVals []float64) float64
-	// itemSite[i] is the aggregate-site index when select item i is a
-	// bare aggregate call (SE is reportable), else -1.
-	itemSite  []int
-	aggLabels []string
-	having    havingFn // nil when absent
-	orderBy   []OrderSpec
-	limit     int
 }
 
 // compile validates and binds a query against a table.
 func compile(tbl *table.Table, q *sqlparse.Query) (*compiledQuery, error) {
-	if q.From != "" && !strings.EqualFold(q.From, tbl.Name) {
-		return nil, fmt.Errorf("exec: query targets table %q, got %q", q.From, tbl.Name)
-	}
 	c := &compiledQuery{tbl: tbl}
+	out, err := CompileOutputs(tbl, q, func(kind AggKind, arg sqlparse.Expr) error {
+		site := &aggSite{kind: kind}
+		if arg != nil {
+			f, err := compileScalar(tbl, arg)
+			if err != nil {
+				return err
+			}
+			if kind != AggCount { // COUNT(expr) ignores the arg (no NULLs)
+				site.arg = f
+			}
+		}
+		c.sites = append(c.sites, site)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.Outputs = out
 	if q.Where != nil {
 		f, err := compileScalar(tbl, q.Where)
 		if err != nil {
@@ -261,186 +136,10 @@ func compile(tbl *table.Table, q *sqlparse.Query) (*compiledQuery, error) {
 		}
 		c.where = f
 	}
-	grouped := map[string]bool{}
-	for _, g := range q.GroupBy {
-		col := tbl.Column(g)
-		if col == nil {
-			return nil, fmt.Errorf("exec: unknown group-by column %q", g)
-		}
-		if col.Spec.Kind == table.Float {
-			return nil, fmt.Errorf("exec: cannot group by float column %q", g)
-		}
-		c.groupCols = append(c.groupCols, col)
-		grouped[g] = true
+	for _, idx := range out.GroupIdx {
+		c.groupCols = append(c.groupCols, tbl.Columns[idx])
 	}
-	if q.Cube && len(q.GroupBy) == 0 {
-		return nil, fmt.Errorf("exec: WITH CUBE requires GROUP BY columns")
-	}
-
-	// grouping sets
-	if q.Cube {
-		n := len(q.GroupBy)
-		for mask := (1 << n) - 1; mask >= 0; mask-- {
-			var pos []int
-			var names []string
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					pos = append(pos, i)
-					names = append(names, q.GroupBy[i])
-				}
-			}
-			c.sets = append(c.sets, pos)
-			c.setNames = append(c.setNames, names)
-		}
-	} else {
-		pos := make([]int, len(q.GroupBy))
-		for i := range pos {
-			pos[i] = i
-		}
-		c.sets = append(c.sets, pos)
-		c.setNames = append(c.setNames, append([]string(nil), q.GroupBy...))
-	}
-
-	// select items: plain grouped columns or aggregate expressions
-	for _, item := range q.Select {
-		if ref, ok := item.Expr.(*sqlparse.ColumnRef); ok {
-			if !grouped[ref.Name] {
-				return nil, fmt.Errorf("exec: column %q must appear in GROUP BY or inside an aggregate", ref.Name)
-			}
-			continue // carried in the group key
-		}
-		if !sqlparse.HasAggregate(item.Expr) {
-			return nil, fmt.Errorf("exec: select item %q is neither a grouped column nor an aggregate", item.Label())
-		}
-		siteBefore := len(c.sites)
-		combine, err := c.compileAggItem(item.Expr)
-		if err != nil {
-			return nil, err
-		}
-		site := -1
-		if _, bare := item.Expr.(*sqlparse.FuncCall); bare && len(c.sites) == siteBefore+1 {
-			site = siteBefore
-		}
-		c.items = append(c.items, combine)
-		c.itemSite = append(c.itemSite, site)
-		c.aggLabels = append(c.aggLabels, item.Label())
-	}
-	if len(c.items) == 0 {
-		return nil, fmt.Errorf("exec: query has no aggregate outputs")
-	}
-	if q.Having != nil {
-		h, err := c.compileHaving(q.Having)
-		if err != nil {
-			return nil, err
-		}
-		c.having = h
-	}
-	if len(q.OrderBy) > 0 {
-		specs, err := ResolveOrderBy(q)
-		if err != nil {
-			return nil, err
-		}
-		c.orderBy = specs
-	}
-	c.limit = q.Limit
 	return c, nil
-}
-
-// compileAggItem compiles a select expression that contains aggregate
-// calls into (a) registered aggregate sites and (b) a combiner applied
-// to the finalized site values (supporting e.g. SUM(a)/COUNT(*)).
-func (c *compiledQuery) compileAggItem(e sqlparse.Expr) (func([]float64) float64, error) {
-	switch n := e.(type) {
-	case *sqlparse.FuncCall:
-		if sqlparse.AggFuncs[n.Name] {
-			site := &aggSite{}
-			switch n.Name {
-			case "AVG":
-				site.kind = aggAvg
-			case "SUM":
-				site.kind = aggSum
-			case "COUNT":
-				site.kind = aggCount
-			case "COUNT_IF":
-				site.kind = aggCountIf
-			case "MIN":
-				site.kind = aggMin
-			case "MAX":
-				site.kind = aggMax
-			case "VAR":
-				site.kind = aggVar
-			case "STDDEV":
-				site.kind = aggStdDev
-			}
-			if n.Star {
-				if site.kind != aggCount {
-					return nil, fmt.Errorf("exec: %s(*) is not valid", n.Name)
-				}
-			} else {
-				if len(n.Args) != 1 {
-					return nil, fmt.Errorf("exec: %s takes exactly one argument", n.Name)
-				}
-				if sqlparse.HasAggregate(n.Args[0]) {
-					return nil, fmt.Errorf("exec: nested aggregates are not supported")
-				}
-				f, err := compileScalar(c.tbl, n.Args[0])
-				if err != nil {
-					return nil, err
-				}
-				if site.kind != aggCount { // COUNT(expr) ignores the arg (no NULLs)
-					site.arg = f
-				}
-			}
-			idx := len(c.sites)
-			c.sites = append(c.sites, site)
-			return func(vals []float64) float64 { return vals[idx] }, nil
-		}
-		return nil, fmt.Errorf("exec: scalar function %s cannot be an output without an enclosing aggregate", n.Name)
-	case *sqlparse.BinaryExpr:
-		switch n.Op {
-		case "+", "-", "*", "/":
-		default:
-			return nil, fmt.Errorf("exec: operator %q not supported over aggregates", n.Op)
-		}
-		left, err := c.compileAggItem(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := c.compileAggItem(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		op := n.Op
-		return func(vals []float64) float64 {
-			a, b := left(vals), right(vals)
-			switch op {
-			case "+":
-				return a + b
-			case "-":
-				return a - b
-			case "*":
-				return a * b
-			default:
-				if b == 0 {
-					return math.NaN()
-				}
-				return a / b
-			}
-		}, nil
-	case *sqlparse.UnaryExpr:
-		if n.Op != "-" {
-			return nil, fmt.Errorf("exec: operator %q not supported over aggregates", n.Op)
-		}
-		inner, err := c.compileAggItem(n.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return func(vals []float64) float64 { return -inner(vals) }, nil
-	case *sqlparse.NumberLit:
-		v := n.Value
-		return func([]float64) float64 { return v }, nil
-	}
-	return nil, fmt.Errorf("exec: unsupported aggregate expression %T", e)
 }
 
 // Run evaluates q exactly over the full table.
@@ -449,7 +148,7 @@ func Run(tbl *table.Table, q *sqlparse.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.execute(nil, nil, q)
+	return c.execute(nil, nil)
 }
 
 // RunWeighted evaluates q approximately over a weighted row sample.
@@ -461,22 +160,18 @@ func RunWeighted(tbl *table.Table, q *sqlparse.Query, rows []int32, weights []fl
 	if err != nil {
 		return nil, err
 	}
-	return c.execute(rows, weights, q)
+	return c.execute(rows, weights)
 }
 
 // execute groups and aggregates. rows == nil means the full table with
 // unit weights.
-func (c *compiledQuery) execute(rows []int32, weights []float64, q *sqlparse.Query) (*Result, error) {
-	res := &Result{
-		GroupAttrs: append([]string(nil), q.GroupBy...),
-		Sets:       c.setNames,
-		AggLabels:  c.aggLabels,
-	}
+func (c *compiledQuery) execute(rows []int32, weights []float64) (*Result, error) {
+	res := c.NewResult()
 	type groupAcc struct {
 		key    []string
-		states []aggState
+		states []Acc
 	}
-	for setIdx, setPos := range c.sets {
+	for setIdx, setPos := range c.Sets {
 		groups := map[string]*groupAcc{}
 		var order []string
 		visit := func(r int, w float64) {
@@ -490,12 +185,12 @@ func (c *compiledQuery) execute(rows []int32, weights []float64, q *sqlparse.Que
 			k := strings.Join(keyParts, "\x00")
 			g, ok := groups[k]
 			if !ok {
-				g = &groupAcc{key: keyParts, states: make([]aggState, len(c.sites))}
+				g = &groupAcc{key: keyParts, states: make([]Acc, len(c.sites))}
 				groups[k] = g
 				order = append(order, k)
 			}
 			for si, site := range c.sites {
-				g.states[si].update(site, r, w)
+				site.update(&g.states[si], r, w)
 			}
 		}
 		if rows == nil {
@@ -510,31 +205,11 @@ func (c *compiledQuery) execute(rows []int32, weights []float64, q *sqlparse.Que
 		sort.Strings(order)
 		for _, k := range order {
 			g := groups[k]
-			siteVals := make([]float64, len(c.sites))
-			for si := range c.sites {
-				siteVals[si] = g.states[si].final(c.sites[si].kind)
+			if row, ok := c.Row(setIdx, g.key, g.states, rows != nil); ok {
+				res.Rows = append(res.Rows, row)
 			}
-			if c.having != nil && !c.having(siteVals) {
-				continue
-			}
-			aggs := make([]float64, len(c.items))
-			for ii, combine := range c.items {
-				aggs[ii] = combine(siteVals)
-			}
-			row := Row{Set: setIdx, Key: g.key, Aggs: aggs}
-			if rows != nil {
-				row.SE = make([]float64, len(c.items))
-				for ii, site := range c.itemSite {
-					if site >= 0 {
-						row.SE[ii] = g.states[site].stdErr(c.sites[site].kind)
-					} else {
-						row.SE[ii] = math.NaN()
-					}
-				}
-			}
-			res.Rows = append(res.Rows, row)
 		}
 	}
-	ApplyOrderAndLimit(res, c.orderBy, c.limit)
+	c.Finish(res)
 	return res, nil
 }

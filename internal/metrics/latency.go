@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -142,70 +141,27 @@ func quantileOf(counts [latencyBuckets]int64, total int64, q float64) time.Durat
 
 // Quantile estimates the q-quantile of the observed durations from a
 // freshly frozen copy of the counters. For several quantiles of one
-// consistent digest, use Snapshot (or freeze once yourself).
+// consistent digest, use Summary.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	counts, total := h.freeze()
 	return quantileOf(counts, total, q)
 }
 
-// LatencySummary is one label's latency digest.
+// LatencySummary is one histogram's latency digest.
 type LatencySummary struct {
 	Count         int64
 	P50, P95, P99 time.Duration
 }
 
-// LatencySet keys histograms by label (the serving layer uses route
-// patterns). The zero value is not usable; call NewLatencySet. Observe
-// is read-locked on the steady state — a label allocates its histogram
-// once, on first sight.
-type LatencySet struct {
-	mu sync.RWMutex
-	m  map[string]*Histogram
-}
-
-// NewLatencySet returns an empty set.
-func NewLatencySet() *LatencySet {
-	return &LatencySet{m: make(map[string]*Histogram)}
-}
-
-// Observe records one duration under the label.
-func (s *LatencySet) Observe(label string, d time.Duration) {
-	s.mu.RLock()
-	h, ok := s.m[label]
-	s.mu.RUnlock()
-	if !ok {
-		s.mu.Lock()
-		if h, ok = s.m[label]; !ok {
-			h = &Histogram{}
-			s.m[label] = h
-		}
-		s.mu.Unlock()
+// Summary digests the histogram from one frozen copy of its counters:
+// count and all three quantiles describe the same state, so
+// p50 ≤ p95 ≤ p99 always holds under concurrent Observes.
+func (h *Histogram) Summary() LatencySummary {
+	counts, total := h.freeze()
+	return LatencySummary{
+		Count: total,
+		P50:   quantileOf(counts, total, 0.50),
+		P95:   quantileOf(counts, total, 0.95),
+		P99:   quantileOf(counts, total, 0.99),
 	}
-	h.Observe(d)
-}
-
-// Snapshot digests every label with at least one observation.
-func (s *LatencySet) Snapshot() map[string]LatencySummary {
-	s.mu.RLock()
-	hists := make(map[string]*Histogram, len(s.m))
-	for label, h := range s.m {
-		hists[label] = h
-	}
-	s.mu.RUnlock()
-	out := make(map[string]LatencySummary, len(hists))
-	for label, h := range hists {
-		// one frozen copy per histogram: count and all three quantiles
-		// describe the same state, so p50 ≤ p95 ≤ p99 always holds
-		counts, total := h.freeze()
-		if total == 0 {
-			continue
-		}
-		out[label] = LatencySummary{
-			Count: total,
-			P50:   quantileOf(counts, total, 0.50),
-			P95:   quantileOf(counts, total, 0.95),
-			P99:   quantileOf(counts, total, 0.99),
-		}
-	}
-	return out
 }

@@ -54,31 +54,24 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-func TestLatencySetSnapshot(t *testing.T) {
-	s := NewLatencySet()
-	if snap := s.Snapshot(); len(snap) != 0 {
-		t.Fatalf("empty set snapshot = %v", snap)
+func TestHistogramSummary(t *testing.T) {
+	var h Histogram
+	if sum := h.Summary(); sum != (LatencySummary{}) {
+		t.Fatalf("empty histogram summary = %+v", sum)
 	}
-	s.Observe("POST /v1/query", 2*time.Millisecond)
-	s.Observe("POST /v1/query", 3*time.Millisecond)
-	s.Observe("GET /healthz", 50*time.Microsecond)
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d labels, want 2: %v", len(snap), snap)
-	}
-	q := snap["POST /v1/query"]
-	if q.Count != 2 || q.P50 <= 0 || q.P99 < q.P50 {
-		t.Fatalf("query summary implausible: %+v", q)
-	}
-	if h := snap["GET /healthz"]; h.Count != 1 {
-		t.Fatalf("healthz count = %d, want 1", h.Count)
+	h.Observe(2 * time.Millisecond)
+	h.Observe(3 * time.Millisecond)
+	h.Observe(50 * time.Microsecond)
+	sum := h.Summary()
+	if sum.Count != 3 || sum.P50 <= 0 || sum.P95 < sum.P50 || sum.P99 < sum.P95 {
+		t.Fatalf("summary implausible: %+v", sum)
 	}
 }
 
-// Concurrent observers on one label must not race (run with -race) and
-// must not lose counts.
-func TestLatencySetConcurrent(t *testing.T) {
-	s := NewLatencySet()
+// Concurrent observers must not race (run with -race) and must not
+// lose counts; every summary taken meanwhile stays ordered.
+func TestHistogramSummaryConcurrent(t *testing.T) {
+	var h Histogram
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -86,12 +79,17 @@ func TestLatencySetConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s.Observe("route", time.Duration(1+i%1000)*time.Microsecond)
+				h.Observe(time.Duration(1+i%1000) * time.Microsecond)
+				if i%50 == 0 {
+					if sum := h.Summary(); sum.P50 > sum.P95 || sum.P95 > sum.P99 {
+						t.Errorf("unordered summary under concurrency: %+v", sum)
+					}
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := s.Snapshot()["route"].Count; got != workers*per {
+	if got := h.Summary().Count; got != workers*per {
 		t.Fatalf("count = %d, want %d", got, workers*per)
 	}
 }

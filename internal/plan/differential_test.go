@@ -12,8 +12,8 @@ package plan_test
 // columnar executor is required to perform the same float64 operations
 // in the same order as the interpreter.
 //
-// Every generated query must also compile — the generator emits only
-// the plannable subset, so a Compile rejection is a planner
+// Every generated query must also compile — the planner accepts every
+// query the interpreter accepts, so a Compile rejection is a planner
 // regression, not a skip.
 
 import (
@@ -125,13 +125,53 @@ func genNumLit(rng *rand.Rand) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// genStrExpr emits a string-kinded leaf: a string column or a literal,
+// usually a resident dictionary value.
+func genStrExpr(rng *rand.Rand, gt *genTable) string {
+	if len(gt.strCols) == 0 {
+		return "'zzz-absent'"
+	}
+	col := pick(rng, gt.strCols)
+	if rng.Intn(2) == 0 {
+		return col
+	}
+	if vs := gt.strVals[col]; len(vs) > 0 && rng.Intn(5) != 0 {
+		return "'" + strings.ReplaceAll(pick(rng, vs), "'", "''") + "'"
+	}
+	return "''"
+}
+
+// genAnyExpr emits an expression of any kind — numeric, boolean,
+// string, or a nested IF of any kind — as an IF branch.
+func genAnyExpr(rng *rand.Rand, gt *genTable, depth int) string {
+	switch rng.Intn(4) {
+	case 0:
+		return genNumExpr(rng, gt, depth, true)
+	case 1:
+		return genBoolExpr(rng, gt, depth, true)
+	case 2:
+		if depth > 0 {
+			return genIfExpr(rng, gt, depth-1)
+		}
+		fallthrough
+	default:
+		return genStrExpr(rng, gt)
+	}
+}
+
+// genIfExpr emits an IF whose branches may differ in kind or be
+// strings: the shape whose value kind varies by row, which the planner
+// lowers at each consumer (asNum, num field, truthiness, comparison).
+func genIfExpr(rng *rand.Rand, gt *genTable, depth int) string {
+	return fmt.Sprintf("IF(%s, %s, %s)",
+		genBoolExpr(rng, gt, depth, true), genAnyExpr(rng, gt, depth), genAnyExpr(rng, gt, depth))
+}
+
 // genNumExpr emits a numeric scalar expression. At depth 0 it bottoms
 // out on columns and literals. When allowStr is set, a rare
 // string-column leaf exercises the interpreter's string-in-arithmetic
 // semantics (the value's num field, 0) and the NaN path when it lands
-// directly under an aggregate; IF branches clear it, because a bare
-// string leaf at a branch root makes the branch kinds diverge — the
-// one shape the planner (deliberately) rejects.
+// directly under an aggregate; a mixed-kind IF does the same per row.
 func genNumExpr(rng *rand.Rand, gt *genTable, depth int, allowStr bool) string {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		switch rng.Intn(8) {
@@ -152,9 +192,12 @@ func genNumExpr(rng *rand.Rand, gt *genTable, depth int, allowStr bool) string {
 	case 1:
 		return fmt.Sprintf("ABS(%s)", genNumExpr(rng, gt, depth-1, allowStr))
 	case 2:
+		if rng.Intn(2) == 0 {
+			return genIfExpr(rng, gt, depth-1)
+		}
 		return fmt.Sprintf("IF(%s, %s, %s)",
 			genBoolExpr(rng, gt, depth-1, true),
-			genNumExpr(rng, gt, depth-1, false), genNumExpr(rng, gt, depth-1, false))
+			genNumExpr(rng, gt, depth-1, allowStr), genNumExpr(rng, gt, depth-1, allowStr))
 	default:
 		op := pick(rng, []string{"+", "-", "*", "/"})
 		return fmt.Sprintf("(%s %s %s)",
@@ -167,11 +210,10 @@ var cmpOps = []string{"=", "!=", "<", "<=", ">", ">="}
 // genBoolExpr emits a predicate: numeric comparisons, string
 // comparisons against (mostly resident) dictionary values, IN,
 // BETWEEN, boolean combinators, and — rarely — the deliberately odd
-// cases: a mixed-kind comparison (constant-folds) and a bare numeric
-// expression used for its truthiness. allowTruthy gates the latter;
-// IF branches clear it so both branches stay boolean-kinded (a
-// numeric-rooted branch beside a boolean one is the planner's one
-// rejection shape).
+// cases: a mixed-kind comparison (constant-folds), a comparison or IN
+// over a mixed-kind IF, and an expression used for its truthiness
+// (numeric, or a mixed-kind IF). allowTruthy gates the latter; the
+// boolean-branch IF clears it so both its branches stay boolean.
 func genBoolExpr(rng *rand.Rand, gt *genTable, depth int, allowTruthy bool) string {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		switch rng.Intn(10) {
@@ -208,6 +250,13 @@ func genBoolExpr(rng *rand.Rand, gt *genTable, depth int, allowTruthy bool) stri
 			}
 			fallthrough
 		case 6:
+			if rng.Intn(3) == 0 {
+				// comparison / IN over an IF whose kind varies by row
+				if rng.Intn(2) == 0 {
+					return fmt.Sprintf("(%s IN (%s, %s))", genIfExpr(rng, gt, 0), genStrExpr(rng, gt), genNumLit(rng))
+				}
+				return fmt.Sprintf("(%s %s %s)", genIfExpr(rng, gt, 0), pick(rng, cmpOps), genAnyExpr(rng, gt, 0))
+			}
 			if len(gt.strCols) >= 2 {
 				// string column vs column: lexicographic per row
 				return fmt.Sprintf("(%s %s %s)",
@@ -229,6 +278,10 @@ func genBoolExpr(rng *rand.Rand, gt *genTable, depth int, allowTruthy bool) stri
 		}
 		fallthrough
 	case 2:
+		if allowTruthy && rng.Intn(2) == 0 {
+			// truthiness of an IF whose kind varies by row
+			return genIfExpr(rng, gt, depth-1)
+		}
 		return fmt.Sprintf("IF(%s, %s, %s)",
 			genBoolExpr(rng, gt, depth-1, true),
 			genBoolExpr(rng, gt, depth-1, false), genBoolExpr(rng, gt, depth-1, false))
@@ -241,7 +294,7 @@ func genBoolExpr(rng *rand.Rand, gt *genTable, depth int, allowTruthy bool) stri
 
 // genAggItem emits one aggregate select item (without alias).
 func genAggItem(rng *rand.Rand, gt *genTable) string {
-	switch rng.Intn(12) {
+	switch rng.Intn(14) {
 	case 0:
 		return "COUNT(*)"
 	case 1:
@@ -261,6 +314,12 @@ func genAggItem(rng *rand.Rand, gt *genTable) string {
 	case 8:
 		// boolean under a numeric aggregate: asNum(true)=1, asNum(false)=0
 		return fmt.Sprintf("SUM(%s)", genBoolExpr(rng, gt, 1, true))
+	case 9:
+		// a mixed-kind or string IF as a numeric aggregate's argument
+		return fmt.Sprintf("%s(%s)", pick(rng, []string{"AVG", "SUM", "MIN", "MAX", "VAR"}), genIfExpr(rng, gt, 1))
+	case 10:
+		// ... and as COUNT_IF's predicate / COUNT's ignored argument
+		return fmt.Sprintf("%s(%s)", pick(rng, []string{"COUNT_IF", "COUNT"}), genIfExpr(rng, gt, 1))
 	default:
 		return fmt.Sprintf("%s(%s)", pick(rng, []string{"AVG", "SUM"}), genNumExpr(rng, gt, rng.Intn(3), true))
 	}

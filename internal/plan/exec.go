@@ -3,7 +3,6 @@ package plan
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -41,7 +40,7 @@ type setState struct {
 
 	keys   [][]string // per gid: rendered key parts (output Row.Key)
 	joined []string   // per gid: the interpreter's map key (ordering)
-	accs   []aggAcc   // flat per-(gid, site): len = numGroups * stride
+	accs   []exec.Acc // flat per-(gid, site): len = numGroups * stride
 }
 
 // dictHasNUL reports whether any dictionary value contains the "\x00"
@@ -99,7 +98,7 @@ func (st *setState) newGroup(r int32, stride int) int32 {
 	gid := int32(len(st.keys))
 	st.keys = append(st.keys, parts)
 	st.joined = append(st.joined, strings.Join(parts, "\x00"))
-	st.accs = append(st.accs, make([]aggAcc, stride)...)
+	st.accs = append(st.accs, make([]exec.Acc, stride)...)
 	return gid
 }
 
@@ -113,7 +112,7 @@ func (st *setState) assign(rows []int32, n, stride int, gids []int32) {
 			parts := make([]string, 0)
 			st.keys = append(st.keys, parts)
 			st.joined = append(st.joined, "")
-			st.accs = append(st.accs, make([]aggAcc, stride)...)
+			st.accs = append(st.accs, make([]exec.Acc, stride)...)
 		}
 		for i := 0; i < n; i++ {
 			gids[i] = 0
@@ -180,35 +179,23 @@ func (st *setState) assign(rows []int32, n, stride int, gids []int32) {
 	}
 }
 
-// accumulate folds one site's batch values into the per-group
+// accumulateSite folds one site's batch values into the per-group
 // accumulators. The per-(group, site) observation stream is in row
 // order — exactly the interpreter's — so floating-point accumulation
 // is bit-identical.
-func accumulateSite(accs []aggAcc, stride, si int, kind aggKind, gids []int32, xs, ws []float64, n int) {
+func accumulateSite(accs []exec.Acc, stride, si int, kind exec.AggKind, gids []int32, xs, ws []float64, n int) {
 	switch kind {
-	case aggCount:
+	case exec.AggCount:
 		for j := 0; j < n; j++ {
-			accs[int(gids[j])*stride+si].accumulate(1, ws[j])
+			accs[int(gids[j])*stride+si].Accumulate(1, ws[j])
 		}
-	case aggMin, aggMax:
+	case exec.AggMin, exec.AggMax:
 		for j := 0; j < n; j++ {
-			a := &accs[int(gids[j])*stride+si]
-			x := xs[j]
-			if !a.seen {
-				a.minV, a.maxV = x, x
-				a.seen = true
-			} else {
-				if x < a.minV {
-					a.minV = x
-				}
-				if x > a.maxV {
-					a.maxV = x
-				}
-			}
+			accs[int(gids[j])*stride+si].Observe(xs[j])
 		}
 	default: // AVG/SUM/VAR/STDDEV and COUNT_IF's prepared 0/1 vector
 		for j := 0; j < n; j++ {
-			accs[int(gids[j])*stride+si].accumulate(xs[j], ws[j])
+			accs[int(gids[j])*stride+si].Accumulate(xs[j], ws[j])
 		}
 	}
 }
@@ -240,14 +227,14 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 		return nil, err
 	}
 
-	ec := newExecCtx(tbl.Columns, p.numSlots, p.boolSlots, p.tabSlots)
-	groupCols := make([]*table.Column, len(p.groupIdx))
-	for i, idx := range p.groupIdx {
+	ec := newExecCtx(tbl.Columns, p.slots)
+	groupCols := make([]*table.Column, len(p.out.GroupIdx))
+	for i, idx := range p.out.GroupIdx {
 		groupCols[i] = tbl.Columns[idx]
 	}
 	stride := len(p.sites)
-	states := make([]*setState, len(p.sets))
-	for i, pos := range p.sets {
+	states := make([]*setState, len(p.out.Sets))
+	for i, pos := range p.out.Sets {
 		states[i] = newSetState(pos, groupCols)
 	}
 
@@ -274,7 +261,7 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 			copy(rowBuf[:n], rows[start:start+n])
 			copy(wBuf[:n], weights[start:start+n])
 		}
-		ec.rows, ec.n = rowBuf, n
+		ec.setBatch(rowBuf, n)
 
 		if p.where != nil {
 			sel := p.where.eval(ec)
@@ -286,7 +273,7 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 				}
 			}
 			n = m
-			ec.n = n
+			ec.setBatch(rowBuf, n)
 		}
 		if n == 0 {
 			continue
@@ -324,11 +311,7 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 		}
 	}
 
-	res := &exec.Result{
-		GroupAttrs: p.groupAttrs,
-		Sets:       p.setNames,
-		AggLabels:  p.aggLabels,
-	}
+	res := p.out.NewResult()
 	for setIdx, st := range states {
 		order := make([]int, len(st.keys))
 		for i := range order {
@@ -339,31 +322,11 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 		// its sort.Strings exactly.
 		sort.Slice(order, func(i, j int) bool { return st.joined[order[i]] < st.joined[order[j]] })
 		for _, gid := range order {
-			siteVals := make([]float64, stride)
-			for si := range p.sites {
-				siteVals[si] = st.accs[gid*stride+si].final(p.sites[si].kind)
+			if row, ok := p.out.Row(setIdx, st.keys[gid], st.accs[gid*stride:(gid+1)*stride], rows != nil); ok {
+				res.Rows = append(res.Rows, row)
 			}
-			if p.having != nil && !p.having(siteVals) {
-				continue
-			}
-			aggs := make([]float64, len(p.items))
-			for ii, combine := range p.items {
-				aggs[ii] = combine(siteVals)
-			}
-			row := exec.Row{Set: setIdx, Key: st.keys[gid], Aggs: aggs}
-			if rows != nil {
-				row.SE = make([]float64, len(p.items))
-				for ii, site := range p.itemSite {
-					if site >= 0 {
-						row.SE[ii] = st.accs[gid*stride+site].stdErr(p.sites[site].kind)
-					} else {
-						row.SE[ii] = math.NaN()
-					}
-				}
-			}
-			res.Rows = append(res.Rows, row)
 		}
 	}
-	exec.ApplyOrderAndLimit(res, p.orderBy, p.limit)
+	p.out.Finish(res)
 	return res, nil
 }

@@ -45,32 +45,32 @@ func (p *Plan) Explain(in ExplainInput) *apiv1.PlanNode {
 	}
 
 	aggDetail := map[string]any{
-		"aggregates":    p.aggLabels,
-		"grouping_sets": len(p.sets),
+		"aggregates":    p.out.AggLabels,
+		"grouping_sets": len(p.out.Sets),
 	}
-	if len(p.groupAttrs) > 0 {
-		aggDetail["group_by"] = p.groupAttrs
+	if len(p.out.GroupAttrs) > 0 {
+		aggDetail["group_by"] = p.out.GroupAttrs
 	}
 	if p.cube {
 		aggDetail["cube"] = true
 	}
-	if p.having != nil {
+	if p.havingStr != "" {
 		aggDetail["having"] = p.havingStr
 	}
 	node = &apiv1.PlanNode{Op: "aggregate", Detail: aggDetail, Children: []*apiv1.PlanNode{node}}
 
-	if len(p.orderBy) > 0 || p.limit > 0 {
+	if len(p.orderStrs) > 0 || p.out.Limit > 0 {
 		sortDetail := map[string]any{}
 		if len(p.orderStrs) > 0 {
 			sortDetail["order_by"] = p.orderStrs
 		}
-		if p.limit > 0 {
-			sortDetail["limit"] = p.limit
+		if p.out.Limit > 0 {
+			sortDetail["limit"] = p.out.Limit
 		}
 		node = &apiv1.PlanNode{Op: "sort", Detail: sortDetail, Children: []*apiv1.PlanNode{node}}
 	}
 
-	columns := append(append([]string(nil), p.groupAttrs...), p.aggLabels...)
+	columns := append(append([]string(nil), p.out.GroupAttrs...), p.out.AggLabels...)
 	return &apiv1.PlanNode{
 		Op:       "output",
 		Detail:   map[string]any{"columns": columns},

@@ -11,15 +11,16 @@ import (
 // vkind is the statically inferred kind of a compiled expression. The
 // row interpreter (internal/exec) carries kinds on runtime values; the
 // planner infers them once at compile time so batch kernels can run
-// over unboxed typed slices. Expressions whose kind cannot be pinned
-// statically (e.g. IF with differently-kinded branches) are rejected
-// with ErrNotPlannable and served by the interpreter instead.
+// over unboxed typed slices. An IF whose branches differ in kind, or
+// are strings, is the one expression whose kind varies by row; it is a
+// kDyn node.
 type vkind uint8
 
 const (
 	kNum vkind = iota
 	kStr
 	kBool
+	kDyn
 )
 
 // numOp evaluates to a float64 vector over the current batch. The
@@ -44,34 +45,73 @@ type strSrc struct {
 	col     int // column index when !isConst
 }
 
+// strOp evaluates to a per-row string vector. Only a kDyn IF needs
+// one, to compare rows whose value is a string; column strings are
+// read through their dictionary, never copied.
+type strOp interface {
+	eval(ec *execCtx) []string
+}
+
 // cexpr is a compiled expression: a static kind plus the matching
-// evaluator (num, b, or str).
+// evaluator (num, b, str, or dyn).
 type cexpr struct {
 	kind vkind
 	num  numOp
 	b    boolOp
 	str  strSrc
+	dyn  *dynExpr
+}
+
+// dynExpr is an IF whose value's kind varies by row. The interpreter
+// reads such a value only through asNum, the raw num field, truthiness
+// and comparison (which needs the string-or-not mask, the strings and
+// asNum); each of those conversions distributes over the branches,
+// conv(IF(c, a, b)) = select(c, conv(a), conv(b)). Each conversion is
+// lowered at most once per IF, on first use, and memoized per batch,
+// so plan size and evaluation time stay linear in the query however
+// many consumers read the IF.
+type dynExpr struct {
+	cond   boolOp
+	a, b   cexpr
+	asNum  numOp
+	field  numOp
+	truthy boolOp
+	isStr  boolOp
+	strs   strOp
+}
+
+// slotCounts is how much scratch storage a plan's nodes need: one
+// vector slot per node, one table slot per per-code predicate, one
+// memo entry per shared node.
+type slotCounts struct {
+	nums, bools, strs, tabs, memos int
 }
 
 // execCtx is the per-execution scratch state. A Plan is immutable and
 // shared across goroutines; everything mutable during evaluation —
 // slot vectors, lazily built per-code tables (the dictionary belongs
-// to the executing snapshot, not the plan) — lives here.
+// to the executing snapshot, not the plan), memoized shared vectors —
+// lives here.
 type execCtx struct {
 	cols  []*table.Column
 	rows  []int32 // absolute row ids of the current batch
 	n     int
+	gen   uint64 // bumped whenever rows or n change; memo entries key on it
 	nums  [][]float64
 	bools [][]bool
+	strs  [][]string
 	tabs  [][]bool // per-dict-code tables, built on first use
+	memo  []memoEntry
 }
 
-func newExecCtx(cols []*table.Column, numSlots, boolSlots, tabSlots int) *execCtx {
+func newExecCtx(cols []*table.Column, sc slotCounts) *execCtx {
 	ec := &execCtx{
 		cols:  cols,
-		nums:  make([][]float64, numSlots),
-		bools: make([][]bool, boolSlots),
-		tabs:  make([][]bool, tabSlots),
+		nums:  make([][]float64, sc.nums),
+		bools: make([][]bool, sc.bools),
+		strs:  make([][]string, sc.strs),
+		tabs:  make([][]bool, sc.tabs),
+		memo:  make([]memoEntry, sc.memos),
 	}
 	for i := range ec.nums {
 		ec.nums[i] = make([]float64, batchSize)
@@ -79,7 +119,69 @@ func newExecCtx(cols []*table.Column, numSlots, boolSlots, tabSlots int) *execCt
 	for i := range ec.bools {
 		ec.bools[i] = make([]bool, batchSize)
 	}
+	for i := range ec.strs {
+		ec.strs[i] = make([]string, batchSize)
+	}
 	return ec
+}
+
+// setBatch points the context at a new set of rows, invalidating every
+// memoized vector.
+func (ec *execCtx) setBatch(rows []int32, n int) {
+	ec.rows, ec.n = rows, n
+	ec.gen++
+}
+
+// memoEntry holds a shared node's vector for batch generation gen.
+type memoEntry struct {
+	gen uint64
+	num []float64
+	b   []bool
+	str []string
+}
+
+// numMemo, boolMemo and strMemo wrap a node that several consumers
+// read, so that it is evaluated once per batch rather than once per
+// consumer (nested sharing would otherwise multiply the work). The
+// cached vector is the wrapped node's own slot, which stays valid for
+// the batch: any re-evaluation writes the same pure values.
+type numMemo struct {
+	x  numOp
+	id int
+}
+
+func (o *numMemo) eval(ec *execCtx) []float64 {
+	m := &ec.memo[o.id]
+	if m.gen != ec.gen {
+		m.num, m.gen = o.x.eval(ec), ec.gen
+	}
+	return m.num
+}
+
+type boolMemo struct {
+	x  boolOp
+	id int
+}
+
+func (o *boolMemo) eval(ec *execCtx) []bool {
+	m := &ec.memo[o.id]
+	if m.gen != ec.gen {
+		m.b, m.gen = o.x.eval(ec), ec.gen
+	}
+	return m.b
+}
+
+type strMemo struct {
+	x  strOp
+	id int
+}
+
+func (o *strMemo) eval(ec *execCtx) []string {
+	m := &ec.memo[o.id]
+	if m.gen != ec.gen {
+		m.str, m.gen = o.x.eval(ec), ec.gen
+	}
+	return m.str
 }
 
 // cmpOp is a comparison operator, switched on once per batch rather
@@ -97,6 +199,23 @@ const (
 
 var cmpOps = map[string]cmpOp{
 	"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
+}
+
+func cmpNum(op cmpOp, a, b float64) bool {
+	switch op {
+	case opEq:
+		return a == b
+	case opNe:
+		return a != b
+	case opLt:
+		return a < b
+	case opLe:
+		return a <= b
+	case opGt:
+		return a > b
+	default:
+		return a >= b
+	}
 }
 
 func cmpStr(op cmpOp, a, b string) bool {
@@ -454,6 +573,87 @@ func (o *boolSelect) eval(ec *execCtx) []bool {
 	return out
 }
 
+// boolCmpDyn compares where at least one side is a kDyn IF: rows where
+// both sides hold strings compare lexicographically, all others by
+// asNum (exec.compare, row by row).
+type boolCmpDyn struct {
+	op   cmpOp
+	l, r cmpSide
+	slot int
+}
+
+// cmpSide is what a comparison reads of one operand.
+type cmpSide struct {
+	isStr boolOp
+	str   strOp
+	num   numOp // asNum
+}
+
+func (o *boolCmpDyn) eval(ec *execCtx) []bool {
+	ls, rs := o.l.isStr.eval(ec), o.r.isStr.eval(ec)
+	lstr, rstr := o.l.str.eval(ec), o.r.str.eval(ec)
+	ln, rn := o.l.num.eval(ec), o.r.num.eval(ec)
+	out := ec.bools[o.slot][:ec.n]
+	for i := range out {
+		if ls[i] && rs[i] {
+			out[i] = cmpStr(o.op, lstr[i], rstr[i])
+		} else {
+			out[i] = cmpNum(o.op, ln[i], rn[i])
+		}
+	}
+	return out
+}
+
+// ---- string kernels (kDyn comparisons only) ----
+
+type strConst struct {
+	v    string
+	slot int
+}
+
+func (o *strConst) eval(ec *execCtx) []string {
+	out := ec.strs[o.slot][:ec.n]
+	for i := range out {
+		out[i] = o.v
+	}
+	return out
+}
+
+type strCol struct {
+	col  int
+	slot int
+}
+
+func (o *strCol) eval(ec *execCtx) []string {
+	out := ec.strs[o.slot][:ec.n]
+	c := ec.cols[o.col]
+	for i, r := range ec.rows[:ec.n] {
+		out[i] = c.Dict.Value(c.Str[r])
+	}
+	return out
+}
+
+type strSelect struct {
+	cond boolOp
+	a, b strOp
+	slot int
+}
+
+func (o *strSelect) eval(ec *execCtx) []string {
+	cs := o.cond.eval(ec)
+	as := o.a.eval(ec)
+	bs := o.b.eval(ec)
+	out := ec.strs[o.slot][:ec.n]
+	for i := range out {
+		if cs[i] {
+			out[i] = as[i]
+		} else {
+			out[i] = bs[i]
+		}
+	}
+	return out
+}
+
 // ---- compiler ----
 
 // compiler allocates slot storage while lowering expressions. Every
@@ -461,15 +661,28 @@ func (o *boolSelect) eval(ec *execCtx) []bool {
 // scratch vectors and evaluated vectors stay valid until their own
 // node is re-evaluated.
 type compiler struct {
-	tbl   *table.Table
-	nums  int
-	bools int
-	tabs  int
+	tbl *table.Table
+	slotCounts
 }
 
 func (c *compiler) numSlot() int  { s := c.nums; c.nums++; return s }
 func (c *compiler) boolSlot() int { s := c.bools; c.bools++; return s }
+func (c *compiler) strSlot() int  { s := c.strs; c.strs++; return s }
 func (c *compiler) tabSlot() int  { s := c.tabs; c.tabs++; return s }
+func (c *compiler) memoSlot() int { s := c.memos; c.memos++; return s }
+
+// share prepares x for a consumer that reads it more than once per
+// batch (BETWEEN, IN). String sources are read straight from their
+// column and a kDyn IF's conversions are memoized already.
+func (c *compiler) share(x cexpr) cexpr {
+	switch x.kind {
+	case kNum:
+		x.num = &numMemo{x: x.num, id: c.memoSlot()}
+	case kBool:
+		x.b = &boolMemo{x: x.b, id: c.memoSlot()}
+	}
+	return x
+}
 
 func (c *compiler) numExpr(op numOp) cexpr   { return cexpr{kind: kNum, num: op} }
 func (c *compiler) boolExpr(op boolOp) cexpr { return cexpr{kind: kBool, b: op} }
@@ -482,6 +695,12 @@ func (c *compiler) asNumOp(x cexpr) numOp {
 		return x.num
 	case kBool:
 		return &numFromBool{x: x.b, slot: c.numSlot()}
+	case kDyn:
+		d := x.dyn
+		if d.asNum == nil {
+			d.asNum = &numMemo{x: &numSelect{cond: d.cond, a: c.asNumOp(d.a), b: c.asNumOp(d.b), slot: c.numSlot()}, id: c.memoSlot()}
+		}
+		return d.asNum
 	default:
 		return &numConst{v: math.NaN(), slot: c.numSlot()}
 	}
@@ -491,10 +710,18 @@ func (c *compiler) asNumOp(x cexpr) numOp {
 // used by arithmetic, unary minus and ABS: non-numeric values read as
 // their zero num field.
 func (c *compiler) numFieldOp(x cexpr) numOp {
-	if x.kind == kNum {
+	switch x.kind {
+	case kNum:
 		return x.num
+	case kDyn:
+		d := x.dyn
+		if d.field == nil {
+			d.field = &numMemo{x: &numSelect{cond: d.cond, a: c.numFieldOp(d.a), b: c.numFieldOp(d.b), slot: c.numSlot()}, id: c.memoSlot()}
+		}
+		return d.field
+	default:
+		return &numConst{v: 0, slot: c.numSlot()}
 	}
-	return &numConst{v: 0, slot: c.numSlot()}
 }
 
 // truthyOp converts to the interpreter's value.truthy semantics.
@@ -504,6 +731,12 @@ func (c *compiler) truthyOp(x cexpr) boolOp {
 		return x.b
 	case kNum:
 		return &boolNumTruthy{x: x.num, slot: c.boolSlot()}
+	case kDyn:
+		d := x.dyn
+		if d.truthy == nil {
+			d.truthy = &boolMemo{x: &boolSelect{cond: d.cond, a: c.truthyOp(d.a), b: c.truthyOp(d.b), slot: c.boolSlot()}, id: c.memoSlot()}
+		}
+		return d.truthy
 	default:
 		if x.str.isConst {
 			return &boolConst{v: x.str.lit != "", slot: c.boolSlot()}
@@ -514,6 +747,42 @@ func (c *compiler) truthyOp(x cexpr) boolOp {
 			build: func(d *table.Dict) []bool { return tabFromDict(d, func(v string) bool { return v != "" }) },
 			slot:  c.boolSlot(),
 		}
+	}
+}
+
+// cmpSideOf converts x to what a kDyn comparison reads: which rows hold
+// strings, their strings, and asNum.
+func (c *compiler) cmpSideOf(x cexpr) cmpSide {
+	return cmpSide{isStr: c.isStrOp(x), str: c.strVec(x), num: c.asNumOp(x)}
+}
+
+func (c *compiler) isStrOp(x cexpr) boolOp {
+	if x.kind != kDyn {
+		return &boolConst{v: x.kind == kStr, slot: c.boolSlot()}
+	}
+	d := x.dyn
+	if d.isStr == nil {
+		d.isStr = &boolMemo{x: &boolSelect{cond: d.cond, a: c.isStrOp(d.a), b: c.isStrOp(d.b), slot: c.boolSlot()}, id: c.memoSlot()}
+	}
+	return d.isStr
+}
+
+func (c *compiler) strVec(x cexpr) strOp {
+	switch x.kind {
+	case kDyn:
+		d := x.dyn
+		if d.strs == nil {
+			d.strs = &strMemo{x: &strSelect{cond: d.cond, a: c.strVec(d.a), b: c.strVec(d.b), slot: c.strSlot()}, id: c.memoSlot()}
+		}
+		return d.strs
+	case kStr:
+		if x.str.isConst {
+			return &strConst{v: x.str.lit, slot: c.strSlot()}
+		}
+		return &strCol{col: x.str.col, slot: c.strSlot()}
+	default:
+		// never read: isStrOp is false on every row of a non-string
+		return &strConst{slot: c.strSlot()}
 	}
 }
 
@@ -603,8 +872,8 @@ func (c *compiler) compile(e sqlparse.Expr) (cexpr, error) {
 		if err != nil {
 			return cexpr{}, err
 		}
-		// x BETWEEN lo AND hi ≡ x >= lo AND x <= hi; sharing x's compiled
-		// node between both comparisons recomputes the same pure values.
+		// x BETWEEN lo AND hi ≡ x >= lo AND x <= hi, reading x once.
+		x = c.share(x)
 		return c.boolExpr(&boolAnd{
 			l:    c.compileCmp(x, lo, opGe),
 			r:    c.compileCmp(x, hi, opLe),
@@ -644,6 +913,7 @@ func (c *compiler) compile(e sqlparse.Expr) (cexpr, error) {
 				slot:  c.boolSlot(),
 			}), nil
 		}
+		x = c.share(x)
 		var acc boolOp
 		for _, v := range items {
 			eq := c.compileCmp(x, v, opEq)
@@ -676,17 +946,15 @@ func (c *compiler) compile(e sqlparse.Expr) (cexpr, error) {
 			if err != nil {
 				return cexpr{}, err
 			}
-			if a.kind != b.kind {
-				return cexpr{}, fmt.Errorf("%w: IF branches have different kinds", ErrNotPlannable)
-			}
-			switch a.kind {
-			case kNum:
+			switch {
+			case a.kind == kNum && b.kind == kNum:
 				return c.numExpr(&numSelect{cond: cond, a: a.num, b: b.num, slot: c.numSlot()}), nil
-			case kBool:
+			case a.kind == kBool && b.kind == kBool:
 				return c.boolExpr(&boolSelect{cond: cond, a: a.b, b: b.b, slot: c.boolSlot()}), nil
-			default:
-				return cexpr{}, fmt.Errorf("%w: IF over string branches", ErrNotPlannable)
 			}
+			// every conversion of the IF selects on cond
+			cond = &boolMemo{x: cond, id: c.memoSlot()}
+			return cexpr{kind: kDyn, dyn: &dynExpr{cond: cond, a: a, b: b}}, nil
 		case "ABS":
 			if len(n.Args) != 1 {
 				return cexpr{}, fmt.Errorf("plan: ABS takes 1 argument")
@@ -705,8 +973,12 @@ func (c *compiler) compile(e sqlparse.Expr) (cexpr, error) {
 // compileCmp lowers a comparison with exec.compare's semantics: both
 // sides string → lexicographic; otherwise both via asNum, which folds
 // string-vs-numeric comparisons into constants (string asNum is NaN:
-// != is always true, every other operator always false).
+// != is always true, every other operator always false). A kDyn side
+// decides between the two per row.
 func (c *compiler) compileCmp(a, b cexpr, op cmpOp) boolOp {
+	if a.kind == kDyn || b.kind == kDyn {
+		return &boolCmpDyn{op: op, l: c.cmpSideOf(a), r: c.cmpSideOf(b), slot: c.boolSlot()}
+	}
 	if a.kind == kStr && b.kind == kStr {
 		switch {
 		case a.str.isConst && b.str.isConst:

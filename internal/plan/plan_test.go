@@ -1,14 +1,13 @@
 package plan_test
 
-// Deterministic unit tests for the planner's edges: rejection
-// taxonomy (ErrNotPlannable vs hard errors), schema re-binding, the
+// Deterministic unit tests for the planner's edges: rejections (the
+// same queries the interpreter rejects), schema re-binding, the
 // rows/weights contract, and a handful of semantic corners pinned as
 // fixed cases (the randomized oracle in differential_test.go covers
 // the same ground statistically; these are the human-readable
 // counterexamples-by-construction).
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -103,6 +102,19 @@ func TestPlanSemanticCorners(t *testing.T) {
 		"SELECT cat, COUNT(*) FROM mini GROUP BY cat HAVING COUNT(*) BETWEEN 2 AND 9 AND NOT SUM(v) < 0",
 		// IF with boolean branches in a predicate
 		"SELECT COUNT_IF(IF(v > 0, cat = 'a', cat = 'b')) FROM mini",
+		// IF with mixed-kind branches: the string branch reads as NaN
+		// under an aggregate
+		"SELECT AVG(IF(v > 0, v, cat)) FROM mini",
+		// IF with string branches under an aggregate (NaN either way)
+		"SELECT AVG(IF(v > 0, cat, tag)) FROM mini",
+		// string-branch IF compared, tested for truth, in arithmetic and
+		// as an IN operand
+		"SELECT cat, COUNT_IF(IF(n > 2, cat, tag) = 'a'), COUNT_IF(IF(v > 0, cat, 'b') < tag), SUM(IF(n > 3, 'x', n) + 1) FROM mini GROUP BY cat",
+		"SELECT COUNT_IF(IF(v > 1, tag, '')), COUNT_IF(IF(n > 2, cat, v > 0) IN ('a', 1)) FROM mini WHERE IF(n = 1, cat, n) != 'b'",
+		// IF against IF, as a BETWEEN operand, and nested in another
+		// IF's condition and under unary minus
+		"SELECT COUNT_IF(IF(v > 0, cat, n) = IF(n > 2, tag, v)), COUNT_IF(IF(v > 0, cat, n) < IF(n > 2, 'b', v > 1)) FROM mini",
+		"SELECT COUNT_IF(IF(n > 3, cat, v) BETWEEN IF(n > 1, 'a', 0) AND 'b'), SUM(IF(IF(v > 0, cat, n) = 'a', v, 'x')), AVG(-IF(n > 2, v > 1, cat)) FROM mini",
 		// empty result: nothing passes the filter
 		"SELECT cat, AVG(v) FROM mini WHERE v > 1e9 GROUP BY cat",
 	} {
@@ -112,31 +124,22 @@ func TestPlanSemanticCorners(t *testing.T) {
 
 func TestPlanRejections(t *testing.T) {
 	tbl := miniTable(t)
-	cases := []struct {
-		sql          string
-		notPlannable bool // expect ErrNotPlannable specifically
-	}{
-		{"SELECT AVG(IF(v > 0, v, cat)) FROM mini", true},
-		{"SELECT AVG(IF(v > 0, cat, tag)) FROM mini", true},
-		{"SELECT AVG(nope) FROM mini", false},
-		{"SELECT AVG(v) FROM elsewhere", false},
-		{"SELECT cat FROM mini", false},                    // no aggregate outputs
-		{"SELECT v, AVG(v) FROM mini", false},              // ungrouped column ref
-		{"SELECT cat, AVG(v) FROM mini GROUP BY v", false}, // grouping a Float
-	}
-	for _, c := range cases {
-		q, err := sqlparse.Parse(c.sql)
+	for _, sql := range []string{
+		"SELECT AVG(nope) FROM mini",
+		"SELECT AVG(v) FROM elsewhere",
+		"SELECT cat FROM mini",                    // no aggregate outputs
+		"SELECT v, AVG(v) FROM mini",              // ungrouped column ref
+		"SELECT cat, AVG(v) FROM mini GROUP BY v", // grouping a Float
+	} {
+		q, err := sqlparse.Parse(sql)
 		if err != nil {
-			t.Fatalf("parse %q: %v", c.sql, err)
+			t.Fatalf("parse %q: %v", sql, err)
 		}
-		_, err = plan.Compile(tbl, q)
-		if err == nil {
-			t.Errorf("Compile(%q) succeeded, want error", c.sql)
-			continue
+		if _, err := plan.Compile(tbl, q); err == nil {
+			t.Errorf("Compile(%q) succeeded, want error", sql)
 		}
-		if got := errors.Is(err, plan.ErrNotPlannable); got != c.notPlannable {
-			t.Errorf("Compile(%q): errors.Is(ErrNotPlannable) = %v, want %v (err: %v)",
-				c.sql, got, c.notPlannable, err)
+		if _, err := exec.Run(tbl, q); err == nil {
+			t.Errorf("exec.Run(%q) succeeded; the planner must reject only what the interpreter rejects", sql)
 		}
 	}
 }

@@ -62,17 +62,23 @@ func (r *Registry) EvictedBytes() int64 { return r.evictedBytes.Load() }
 // victim identifies one eviction candidate and the signals it is
 // ranked by.
 type victim struct {
-	sh   *shard
-	key  string
-	hits int64
-	used int64
-	size int64
+	sh    *shard
+	key   string
+	fresh bool // the entry whose install triggered this eviction pass
+	hits  int64
+	used  int64
+	size  int64
 }
 
-// worse reports whether a should be evicted before b: never-hit entries
-// first, then least-recently-used, then largest (free the most per
-// eviction), then key order for determinism.
+// worse reports whether a should be evicted before b: the entry just
+// installed last (it has had no chance to be hit, and its builder is
+// about to answer from it), then never-hit entries, then
+// least-recently-used, then largest (free the most per eviction), then
+// key order for determinism.
 func (a victim) worse(b victim) bool {
+	if a.fresh != b.fresh {
+		return b.fresh
+	}
 	if az, bz := a.hits == 0, b.hits == 0; az != bz {
 		return az
 	}
@@ -86,17 +92,18 @@ func (a victim) worse(b victim) bool {
 }
 
 // maybeEvict brings resident sample bytes back under the budget, if one
-// is set. Runs after every entry install, outside all shard locks; a
-// single evictor runs at a time (concurrent installers queue briefly on
+// is set. Runs after every entry install, outside all shard locks, with
+// the installed key, which goes only when nothing else can; a single
+// evictor runs at a time (concurrent installers queue briefly on
 // evictMu, which is only ever held for map-sized work, never builds).
-func (r *Registry) maybeEvict() {
+func (r *Registry) maybeEvict(installed string) {
 	if r.maxSampleBytes <= 0 {
 		return
 	}
 	r.evictMu.Lock()
 	defer r.evictMu.Unlock()
 	for r.residentBytes.Load() > r.maxSampleBytes {
-		v, ok := r.pickVictim()
+		v, ok := r.pickVictim(installed)
 		if !ok {
 			return // everything left is pinned; budget is best-effort
 		}
@@ -125,7 +132,7 @@ func (r *Registry) maybeEvict() {
 
 // pickVictim scans each shard (under its read lock) for its worst
 // unpinned entry and returns the globally worst one.
-func (r *Registry) pickVictim() (victim, bool) {
+func (r *Registry) pickVictim(installed string) (victim, bool) {
 	var best victim
 	found := false
 	for _, sh := range r.shards {
@@ -134,7 +141,7 @@ func (r *Registry) pickVictim() (victim, bool) {
 			if sh.pinnedLocked(e) {
 				continue
 			}
-			v := victim{sh: sh, key: key, hits: e.Hits.Load(), used: e.lastUsed.Load(), size: e.size}
+			v := victim{sh: sh, key: key, fresh: key == installed, hits: e.Hits.Load(), used: e.lastUsed.Load(), size: e.size}
 			if !found || v.worse(best) {
 				best, found = v, true
 			}

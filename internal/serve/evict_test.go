@@ -113,8 +113,9 @@ func TestEvictionOrderHitsInformedLRU(t *testing.T) {
 		t.Fatalf("got %d evictions, want 1", got)
 	}
 
-	// once every survivor is proven hot, a new never-hit build is
-	// itself the least valuable entry and gives way immediately
+	// once every survivor is proven hot, a new build still stays: the
+	// entry just installed goes last, so the least-recently-used hot
+	// entry (ta) gives way instead
 	if _, ok := reg.Find("td", []string{"region"}); !ok {
 		t.Fatal("no sample found for td")
 	}
@@ -122,23 +123,70 @@ func TestEvictionOrderHitsInformedLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	have = entryTables(reg)
-	if have["tb"] {
-		t.Fatalf("fresh never-hit tb should lose to the hot residents; resident: %v", have)
+	if !have["tb"] || have["ta"] {
+		t.Fatalf("fresh tb should stay and least-recently-used ta go; resident: %v", have)
 	}
-	for _, n := range []string{"ta", "tc", "td"} {
+	for _, n := range []string{"tc", "td"} {
 		if !have[n] {
-			t.Fatalf("hot entry %s must not be evicted for a cold newcomer; resident: %v", n, have)
+			t.Fatalf("hot entry %s must survive; resident: %v", n, have)
 		}
 	}
 
 	// an evicted key is a cache miss, not an error: the same request
 	// rebuilds (and Builds counts the real sampler runs)
 	builds := reg.Builds()
-	if _, cached, err := reg.Build(context.Background(), evictBuild("tb", 60)); err != nil || cached {
+	if _, cached, err := reg.Build(context.Background(), evictBuild("ta", 60)); err != nil || cached {
 		t.Fatalf("evicted key should rebuild fresh (cached=%v err=%v)", cached, err)
 	}
 	if got := reg.Builds(); got != builds+1 {
 		t.Fatalf("rebuild after eviction should run the sampler (builds %d -> %d)", builds, got)
+	}
+}
+
+// Regression: with the byte budget full of samples that have answered
+// queries, a new build used to be the only never-hit entry and was
+// evicted by its own install — Build (and POST /v1/samples) reported
+// success for a sample a sample-mode query then could not find.
+func TestFreshSampleSurvivesInstall(t *testing.T) {
+	reg := serve.NewRegistry(serve.WithShards(1))
+	if err := reg.RegisterTable(evictTable(t, "t0", 300)); err != nil {
+		t.Fatal(err)
+	}
+	probe, _, err := reg.Build(context.Background(), evictBuild("t0", 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+
+	reg = serve.NewRegistry(serve.WithShards(1), serve.WithMaxSampleBytes(3*probe.SizeBytes()))
+	defer reg.Close()
+	for _, n := range []string{"ta", "tb", "tc", "td"} {
+		if err := reg.RegisterTable(evictTable(t, n, 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sql := func(n string) string { return "SELECT region, AVG(amount) FROM " + n + " GROUP BY region" }
+	opt := serve.QueryOptions{Mode: serve.ModeSample}
+	for _, n := range []string{"ta", "tb", "tc"} { // fill the budget with hit samples
+		if _, _, err := reg.Build(context.Background(), evictBuild(n, 60)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Query(context.Background(), sql(n), opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := reg.Build(context.Background(), evictBuild("td", 60)); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := reg.Query(context.Background(), sql("td"), opt)
+	if err != nil {
+		t.Fatalf("sample-mode query right after the build: %v", err)
+	}
+	if ans.Entry == nil || ans.Entry.Table != "td" {
+		t.Fatalf("want an answer from td's sample, got entry %+v", ans.Entry)
+	}
+	if got := reg.Evictions(); got != 1 {
+		t.Fatalf("got %d evictions, want 1 (an older hit sample)", got)
 	}
 }
 

@@ -66,21 +66,10 @@ const (
 	// histogram.
 	MetricHTTPRequests = "repro_http_requests_total"
 	MetricHTTPDuration = "repro_http_request_duration_seconds"
-	// MetricPlanCacheHits / MetricPlanCacheMisses count query
-	// executions answered by a cached compiled plan vs. ones that had
-	// to compile (singleflight waiters count as hits).
-	MetricPlanCacheHits   = "repro_plan_cache_hits_total"
-	MetricPlanCacheMisses = "repro_plan_cache_misses_total"
-	// MetricPlanFallbacks counts query executions served by the row
-	// interpreter because the query is outside the planner's subset (or
-	// a cached plan stopped binding).
+	// MetricPlanFallbacks is deprecated and always 0 (every query runs
+	// a compiled plan); it stays registered so dashboards and scrapers
+	// that read it keep resolving.
 	MetricPlanFallbacks = "repro_plan_fallbacks_total"
-	// MetricPlanEvictions counts compiled plans evicted by the
-	// plan-cache cap (WithMaxPlans).
-	MetricPlanEvictions = "repro_plan_evictions_total"
-	// MetricPlans gauges the resident compiled-plan cache (cached
-	// interpreter-fallback decisions included).
-	MetricPlans = "repro_plans"
 	// MetricWalSegments / MetricWalBytes gauge the live WAL segment
 	// files and their total size across all streaming tables.
 	MetricWalSegments = "repro_wal_segments"
@@ -147,10 +136,6 @@ type srvMetrics struct {
 	findMisses       *obs.Counter
 	evictions        *obs.Counter
 	evictedBytes     *obs.Counter
-	planCacheHits    *obs.Counter
-	planCacheMisses  *obs.Counter
-	planFallbacks    *obs.Counter
-	planEvictions    *obs.Counter
 
 	walCheckpoints     *obs.Counter
 	walTruncatedSegs   *obs.Counter
@@ -187,10 +172,6 @@ func newSrvMetrics(reg *obs.Registry, r *Registry) *srvMetrics {
 		findMisses:         reg.Counter(MetricFindMisses, "Find calls with no covering sample."),
 		evictions:          reg.Counter(MetricEvictions, "Entries evicted by the sample byte budget."),
 		evictedBytes:       reg.Counter(MetricEvictedBytes, "Estimated bytes freed by eviction."),
-		planCacheHits:      reg.Counter(MetricPlanCacheHits, "Query executions answered by a cached compiled plan."),
-		planCacheMisses:    reg.Counter(MetricPlanCacheMisses, "Query executions that compiled a plan."),
-		planFallbacks:      reg.Counter(MetricPlanFallbacks, "Query executions served by the row interpreter."),
-		planEvictions:      reg.Counter(MetricPlanEvictions, "Compiled plans evicted by the plan-cache cap."),
 		walCheckpoints:     reg.Counter(MetricWalCheckpoints, "Checkpoint cuts written by the persistence layer."),
 		walTruncatedSegs:   reg.Counter(MetricWalTruncatedSegments, "WAL segments deleted by checkpoint truncation."),
 		walReplayedRecords: reg.Counter(MetricWalReplayedRecords, "WAL records re-applied during boot recovery."),
@@ -220,9 +201,7 @@ func newSrvMetrics(reg *obs.Registry, r *Registry) *srvMetrics {
 	reg.GaugeFunc(MetricStreams, "Live (streaming) tables.", func() int64 {
 		return int64(r.StreamCount())
 	})
-	reg.GaugeFunc(MetricPlans, "Resident cached compiled plans.", func() int64 {
-		return int64(r.PlanCount())
-	})
+	reg.Counter(MetricPlanFallbacks, "Deprecated, always 0: every query runs a compiled plan.")
 	reg.GaugeFunc(MetricWalSegments, "Live WAL segment files across all streaming tables.", func() int64 {
 		s, _ := r.PersistenceStatus()
 		return int64(s.WalSegments)

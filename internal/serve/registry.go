@@ -324,11 +324,8 @@ type Registry struct {
 	refreshes atomic.Int64
 	closed    atomic.Bool
 
-	// maxPlans bounds the resident compiled-plan cache (plancache.go);
-	// planCompiles and planEvictions are its activity counters.
-	maxPlans      int
-	planCompiles  atomic.Int64
-	planEvictions atomic.Int64
+	// planCompiles counts plan.Compile calls (one per query execution).
+	planCompiles atomic.Int64
 
 	// obs is the registry's metrics registry (exposed at GET /metrics);
 	// metrics holds the resolved handles the hot paths increment. Both
@@ -346,7 +343,7 @@ type Registry struct {
 // NewRegistry returns an empty registry with DefaultShards shards and
 // no sample byte budget; see WithShards and WithMaxSampleBytes.
 func NewRegistry(opts ...Option) *Registry {
-	r := &Registry{shards: make([]*shard, DefaultShards), maxPlans: DefaultMaxPlans}
+	r := &Registry{shards: make([]*shard, DefaultShards)}
 	for _, o := range opts {
 		o(r)
 	}
@@ -524,7 +521,7 @@ func (r *Registry) Build(ctx context.Context, req BuildRequest) (entry *Entry, c
 		sh.mu.Unlock()
 		close(c.done)
 		if c.err == nil {
-			r.maybeEvict()
+			r.maybeEvict(key)
 		}
 	}()
 
@@ -726,24 +723,9 @@ const (
 	ModeExact
 )
 
-// ExecutorChoice selects the execution engine for one Query call.
-type ExecutorChoice int
-
-// Executor choices: auto runs the compiled columnar plan when the
-// query is plannable (falling back to the interpreter otherwise);
-// ExecInterpreted forces the row interpreter — the reference oracle —
-// which the differential tests and benchmarks pin against.
-const (
-	ExecAuto ExecutorChoice = iota
-	ExecInterpreted
-)
-
 // QueryOptions tunes one Query call.
 type QueryOptions struct {
 	Mode QueryMode
-	// Executor selects the execution engine (default ExecAuto: the
-	// compiled columnar plan when available).
-	Executor ExecutorChoice
 	// Compare additionally runs the exact query so the caller can report
 	// true per-group errors next to the estimates. Ignored when the
 	// answer is already exact.
@@ -783,9 +765,8 @@ type QueryAnswer struct {
 	// ExactResult is the ground truth, present only when
 	// QueryOptions.Compare was set and the answer is approximate.
 	ExactResult *exec.Result
-	// Plan is the compiled physical plan that computed Result; nil when
-	// the row interpreter answered (forced, or the query is outside the
-	// planner's subset).
+	// Plan is the compiled physical plan that computed Result (and
+	// ExactResult, when present).
 	Plan *plan.Plan
 	// Degraded reports a load-shed answer: the query asked for a target
 	// CV but was answered from the cheapest resident sample instead
@@ -817,8 +798,8 @@ func (r *Registry) Query(ctx context.Context, sql string, opt QueryOptions) (*Qu
 		// table_not_found like every other route's unknown-table case
 		return nil, fmt.Errorf("serve: %w: %q", ErrUnknownTable, q.From)
 	}
-	// canonicalize FROM so the plan-cache key (the normalized SQL) is
-	// casing-stable across clients
+	// canonicalize FROM so the plan binds the registered table even
+	// when the client's casing differs
 	q.From = tbl.Name
 	ans := &QueryAnswer{Table: tbl.Name}
 
@@ -888,54 +869,48 @@ func (r *Registry) Query(ctx context.Context, sql string, opt QueryOptions) (*Qu
 		}
 	}
 	tr.Phase("exec")
-	res, err := r.runQuery(tbl, q, nil, nil, opt, ans)
+	p, err := r.compile(tbl, q)
 	if err != nil {
 		return nil, err
 	}
-	ans.Result = res
+	res, err := p.Execute(tbl, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	ans.Result, ans.Plan = res, p
 	return ans, nil
 }
 
-// runQuery executes q over tbl (exact when rows is nil, weighted
-// otherwise) through the compiled columnar plan when one is available,
-// falling back to the row interpreter — for queries outside the
-// planner's subset, when the caller forces ExecInterpreted, or when a
-// cached plan no longer binds (stale schema). The chosen plan is
-// recorded on ans for EXPLAIN.
-func (r *Registry) runQuery(tbl *table.Table, q *sqlparse.Query, rows []int32, weights []float64, opt QueryOptions, ans *QueryAnswer) (*exec.Result, error) {
-	if opt.Executor != ExecInterpreted {
-		if p := r.planFor(tbl, q); p != nil {
-			res, err := p.Execute(tbl, rows, weights)
-			if err == nil {
-				ans.Plan = p
-				return res, nil
-			}
-			// bind failure: fall through to the interpreter
-		}
-		r.metrics.planFallbacks.Inc()
-	}
-	if rows == nil {
-		return exec.Run(tbl, q)
-	}
-	return exec.RunWeighted(tbl, q, rows, weights)
+// compile lowers q against the table (or snapshot) it is about to run
+// on: the one query path. Compiling costs microseconds against the
+// milliseconds a request spends elsewhere, so nothing is cached.
+func (r *Registry) compile(tbl *table.Table, q *sqlparse.Query) (*plan.Plan, error) {
+	r.planCompiles.Add(1)
+	return plan.Compile(tbl, q)
 }
+
+// PlanCompiles returns how many plans the registry has compiled: one
+// per query execution.
+func (r *Registry) PlanCompiles() int64 { return r.planCompiles.Load() }
 
 // answerFromEntry evaluates q over one built sample. Streaming entries
 // carry the immutable snapshot their row ids index; evaluating against
 // it keeps the answer self-consistent even while newer generations
-// publish.
+// publish. Compare runs the same plan over the whole snapshot.
 func (r *Registry) answerFromEntry(ctx context.Context, ans *QueryAnswer, tbl *table.Table, e *Entry, q *sqlparse.Query, opt QueryOptions) (*QueryAnswer, error) {
 	obs.TraceFromContext(ctx).Phase("exec")
 	execTbl := e.execTable(tbl)
-	res, err := r.runQuery(execTbl, q, e.Sample.Rows, e.Sample.Weights, opt, ans)
+	p, err := r.compile(execTbl, q)
 	if err != nil {
 		return nil, err
 	}
-	ans.Result, ans.Entry = res, e
+	res, err := p.Execute(execTbl, e.Sample.Rows, e.Sample.Weights)
+	if err != nil {
+		return nil, err
+	}
+	ans.Result, ans.Entry, ans.Plan = res, e, p
 	if opt.Compare {
-		// the comparison baseline stays on the interpreter: it is the
-		// reference oracle the estimate is being judged against
-		exact, err := exec.Run(execTbl, q)
+		exact, err := p.Execute(execTbl, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -52,14 +52,12 @@ var Version = "dev"
 // (GET /debug/requests), a latency observation, per-route request
 // counters, and one structured log line.
 //
-// A Server is safe for concurrent use; beyond the registry it holds
-// only monotone latency counters and bounded trace rings.
+// A Server is safe for concurrent use; beyond the registry (whose
+// metrics hold the per-route latency histograms) it holds only bounded
+// trace rings.
 type Server struct {
 	reg *Registry
 	mux *http.ServeMux
-	// latency feeds the per-route p50/p95/p99 digests /healthz reports;
-	// every route is timed by the instrument wrapper.
-	latency *metrics.LatencySet
 	// tracer keeps the most recent request traces per route for
 	// GET /debug/requests.
 	tracer *obs.Tracer
@@ -123,11 +121,10 @@ func WithIngestHorizonRows(n int) ServerOption {
 // NewServer wraps a registry in its HTTP API.
 func NewServer(reg *Registry, opts ...ServerOption) *Server {
 	s := &Server{
-		reg:     reg,
-		mux:     http.NewServeMux(),
-		latency: metrics.NewLatencySet(),
-		tracer:  obs.NewTracer(obs.DefaultRingSize),
-		logger:  slog.New(slog.DiscardHandler),
+		reg:    reg,
+		mux:    http.NewServeMux(),
+		tracer: obs.NewTracer(obs.DefaultRingSize),
+		logger: slog.New(slog.DiscardHandler),
 	}
 	for _, o := range opts {
 		o(s)
@@ -192,7 +189,6 @@ func (s *Server) instrument(pattern string, w http.ResponseWriter, r *http.Reque
 	d := time.Since(start)
 	tr.End(rec.status)
 	s.tracer.Record(tr)
-	s.latency.Observe(pattern, d)
 	s.reg.metrics.httpRequests.With(pattern, strconv.Itoa(rec.status)).Inc()
 	s.reg.metrics.httpDuration.With(pattern).Observe(d)
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
@@ -223,7 +219,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				writeError(w, apiv1.CodeUnsupportedMedia,
 					"unsupported Content-Type %q: request bodies must be application/json", ct)
 				d := time.Since(start)
-				s.latency.Observe(latencyGateLabel, d)
 				s.reg.metrics.httpRequests.With(latencyGateLabel,
 					strconv.Itoa(http.StatusUnsupportedMediaType)).Inc()
 				s.reg.metrics.httpDuration.With(latencyGateLabel).Observe(d)
@@ -375,18 +370,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		MaxSampleBytes:      s.reg.MaxSampleBytes(),
 		Evictions:           s.reg.Evictions(),
 	}
-	if snap := s.latency.Snapshot(); len(snap) > 0 {
-		h.Latency = make(map[string]apiv1.LatencySummary, len(snap))
-		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-		for route, sum := range snap {
-			h.Latency[route] = apiv1.LatencySummary{
-				Count: sum.Count,
-				P50MS: ms(sum.P50),
-				P95MS: ms(sum.P95),
-				P99MS: ms(sum.P99),
-			}
+	// the per-route digests read the same histograms GET /metrics
+	// exposes, one frozen bucket copy per route
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	s.reg.metrics.httpDuration.Each(func(labels []string, hist *obs.Histogram) {
+		sum := hist.Latency().Summary()
+		if sum.Count == 0 {
+			return
 		}
-	}
+		if h.Latency == nil {
+			h.Latency = make(map[string]apiv1.LatencySummary)
+		}
+		h.Latency[labels[0]] = apiv1.LatencySummary{
+			Count: sum.Count,
+			P50MS: ms(sum.P50),
+			P95MS: ms(sum.P95),
+			P99MS: ms(sum.P99),
+		}
+	})
 	if sts := s.reg.StreamStatuses(); len(sts) > 0 {
 		h.StreamTables = make(map[string]apiv1.StreamHealth, len(sts))
 		for _, st := range sts {
@@ -800,8 +801,8 @@ func (s *Server) gatedQuery(r *http.Request, req apiv1.QueryRequest, opt QueryOp
 }
 
 // coalesceKey derives the coalescing identity of a query request: the
-// normalized SQL (the same canonicalization the plan cache keys by:
-// parse + case-stable FROM + canonical rendering), every query option
+// normalized SQL (parse, case-stable FROM, canonical rendering, so
+// spacing and keyword case do not split a window), every query option
 // that changes the answer, and the table's published sample generation —
 // so a streaming refresh between windows can never fan a stale answer
 // out. Compare-mode queries are never coalesced (their exact-result
@@ -917,21 +918,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.TargetMet = &met
 		}
 	}
-	resp.Executor = apiv1.ExecutorInterpreted
-	if ans.Plan != nil {
-		resp.Executor = apiv1.ExecutorColumnar
-		if req.Explain {
-			in := plan.ExplainInput{Source: "table"}
-			if ans.Entry != nil {
-				in.Source = "sample"
-				in.Rows = ans.Entry.Sample.Len()
-				in.SampleKey = ans.Entry.Key
-				in.TargetCV = ans.Entry.TargetCV
-			} else if tbl, ok := s.reg.Table(ans.Table); ok {
-				in.Rows = tbl.NumRows()
-			}
-			resp.Plan = ans.Plan.Explain(in)
+	resp.Executor = apiv1.ExecutorColumnar
+	if req.Explain {
+		in := plan.ExplainInput{Source: "table"}
+		if ans.Entry != nil {
+			in.Source = "sample"
+			in.Rows = ans.Entry.Sample.Len()
+			in.SampleKey = ans.Entry.Key
+			in.TargetCV = ans.Entry.TargetCV
+		} else if tbl, ok := s.reg.Table(ans.Table); ok {
+			in.Rows = tbl.NumRows()
 		}
+		resp.Plan = ans.Plan.Explain(in)
 	}
 	// compare mode: index the exact answer once (O(G)), then O(1) per
 	// served group — never the per-group Lookup scan.

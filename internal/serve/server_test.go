@@ -308,9 +308,11 @@ func TestServerContentTypeGate(t *testing.T) {
 }
 
 // Per-route latency digests: after traffic on distinct routes,
-// /healthz reports one plausible p50/p95/p99 series per route pattern.
+// /healthz reports one plausible p50/p95/p99 series per route pattern,
+// read from the same histograms GET /metrics exposes — the Content-Type
+// gate's synthetic label included.
 func TestServerLatencyDigests(t *testing.T) {
-	ts, _ := startServer(t)
+	ts, reg := startServer(t)
 	if code := post(t, ts.URL+"/v1/samples", buildBody, nil); code != http.StatusCreated {
 		t.Fatalf("build: %d", code)
 	}
@@ -351,6 +353,32 @@ func TestServerLatencyDigests(t *testing.T) {
 	}
 	if r, ok := health.Latency[apiv1.RouteAppendRows]; !ok || r.Count != 2 {
 		t.Fatalf("append latency should aggregate by pattern: %+v", health.Latency)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/query", "text/plain", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if code := get(t, ts.URL+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("healthz: %d", code)
+	}
+	if g, ok := health.Latency["POST (unsupported_media_type)"]; !ok || g.Count != 1 {
+		t.Fatalf("the Content-Type gate label is missing from /healthz: %+v", health.Latency)
+	}
+	// one source of truth: every /healthz series is a /metrics
+	// histogram with the same count, and its quantiles are ordered
+	hist := reg.Obs().HistogramVec(serve.MetricHTTPDuration, "", "route")
+	for route, d := range health.Latency {
+		if d.P50 > d.P95 || d.P95 > d.P99 {
+			t.Errorf("%s: quantiles out of order: %+v", route, d)
+		}
+		if route == "GET /healthz" {
+			continue // the scrape below is itself a /healthz request
+		}
+		if n := hist.With(route).Count(); n != d.Count {
+			t.Errorf("%s: /healthz count %d, /metrics histogram count %d", route, d.Count, n)
+		}
 	}
 }
 

@@ -30,21 +30,14 @@ type shard struct {
 	// canonical table name (nil value = registration in progress, which
 	// reserves the name). See stream.go.
 	streams map[string]*streamState
-	// plans caches compiled physical plans keyed by normalized SQL, and
-	// planFlight dedups concurrent compilations of the same key,
-	// mirroring entries/inflight for sample builds. See plancache.go.
-	plans      map[string]*planEntry
-	planFlight map[string]*planCall
 }
 
 func newShard() *shard {
 	return &shard{
-		tables:     make(map[string]*table.Table),
-		entries:    make(map[string]*Entry),
-		inflight:   make(map[string]*buildCall),
-		streams:    make(map[string]*streamState),
-		plans:      make(map[string]*planEntry),
-		planFlight: make(map[string]*planCall),
+		tables:   make(map[string]*table.Table),
+		entries:  make(map[string]*Entry),
+		inflight: make(map[string]*buildCall),
+		streams:  make(map[string]*streamState),
 	}
 }
 

@@ -243,7 +243,7 @@ func (r *Registry) installPublication(sh *shard, name, key string, cfg ingest.Co
 	r.refreshes.Add(1)
 	r.metrics.observeStreamPublication(name, pub.Generation, pub.Rows, pub.BuildDuration)
 	if pub.Sample != nil {
-		r.maybeEvict()
+		r.maybeEvict(key)
 	}
 }
 

@@ -4,11 +4,11 @@ package sqlparse_test
 // arbitrary input: the parser never panics, and any query it accepts
 // renders to SQL that re-parses to the same canonical form (String is
 // a fixed point after one round). Every accepted query is then pushed
-// through the physical planner (internal/plan), which must never panic
-// — reject, yes; panic, no. And when the planner accepts a query, the
-// columnar execution must agree bit-for-bit with the row interpreter,
-// so the fuzzer searches for differential counterexamples too, not
-// just crashes.
+// through the physical planner (internal/plan) and the row interpreter
+// (internal/exec): neither may panic, the planner must accept exactly
+// the queries the interpreter accepts, and the columnar execution must
+// agree bit-for-bit with the interpreter, so the fuzzer searches for
+// differential counterexamples too, not just crashes.
 //
 // The test lives outside package sqlparse because the planner imports
 // sqlparse; an in-package test would be an import cycle.
@@ -110,6 +110,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT COUNT_IF(v > 0.5), MIN(v), MAX(v), VAR(v), STDDEV(v) FROM t GROUP BY g",
 		"SELECT -a FROM t WHERE NOT x = 'it''s' OR y != 1e3",
 		"SELECT SUM(IF(v > 2, 1, 0)) / COUNT(*) FROM t GROUP BY g",
+		"SELECT g, AVG(IF(v > 0, v, a)), COUNT_IF(IF(y > 2, a, c) = 'p'), SUM(IF(b = 1, 'q', x > 1) + 1) FROM t WHERE IF(x > 1, a, '') GROUP BY g",
 		"SELECT",
 		"SELECT (((((a FROM t",
 		"'unterminated",
@@ -142,19 +143,21 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("render not canonical:\n%q\n%q", rendered, q2.String())
 		}
 
-		// planner round trip: Compile may reject any query, but must
-		// not panic, and an accepted plan must execute to the exact
-		// interpreter result
+		// planner round trip: Compile rejects exactly what the
+		// interpreter rejects, and an accepted plan must execute to the
+		// exact interpreter result
 		tbl, ok := tables[strings.ToLower(q.From)]
 		if !ok {
 			tbl = tables["t"]
 		}
-		p, err := plan.Compile(tbl, q)
-		if err != nil {
-			return
-		}
+		p, perr := plan.Compile(tbl, q)
 		want, err := exec.Run(tbl, q)
-		if err != nil {
+		switch {
+		case perr != nil && err != nil:
+			return
+		case perr != nil:
+			t.Fatalf("interpreter accepts %q but the planner rejects it: %v", rendered, perr)
+		case err != nil:
 			t.Fatalf("planner accepted %q but the interpreter rejects it: %v", rendered, err)
 		}
 		got, err := p.Execute(tbl, nil, nil)

@@ -316,12 +316,27 @@ func decodeTable(r *reader) (*table.Table, error) {
 	name := r.str()
 	ncols := r.count(5)
 	sch := make(table.Schema, 0, ncols)
+	width := 0 // encoded bytes per row: 4 per string code, 8 per number
 	for i := 0; i < ncols; i++ {
-		sch = append(sch, table.ColumnSpec{Name: r.str(), Kind: table.Kind(r.u8())})
+		c := table.ColumnSpec{Name: r.str(), Kind: table.Kind(r.u8())}
+		switch c.Kind {
+		case table.String:
+			width += 4
+		case table.Float, table.Int:
+			width += 8
+		default:
+			return nil, fmt.Errorf("%w: unknown column kind %d", ErrCorrupt, c.Kind)
+		}
+		sch = append(sch, c)
 	}
-	rows := r.count(0)
+	// every row costs width bytes, so the count is bounded by the bytes
+	// behind it; rows without columns have no bytes to bound them
+	rows := r.count(width)
 	if r.err != nil {
 		return nil, r.err
+	}
+	if width == 0 && rows != 0 {
+		return nil, fmt.Errorf("%w: %d rows without columns", ErrCorrupt, rows)
 	}
 	// decode column-major into dense slices, then materialize rows — the
 	// same O(rows × cols) work a CSV load does
@@ -360,8 +375,6 @@ func decodeTable(r *reader) (*table.Table, error) {
 				col[j] = r.i64()
 			}
 			ints[i] = col
-		default:
-			return nil, fmt.Errorf("%w: unknown column kind %d", ErrCorrupt, c.Kind)
 		}
 	}
 	if r.err != nil {

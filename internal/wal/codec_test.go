@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,7 +68,7 @@ func TestRefreshRoundTrip(t *testing.T) {
 	}
 }
 
-func testTable(t *testing.T, rows int) *table.Table {
+func testTable(t testing.TB, rows int) *table.Table {
 	t.Helper()
 	tbl := table.New("sales", table.Schema{
 		{Name: "region", Kind: table.String},
@@ -192,6 +195,79 @@ func TestCheckpointCorruptDetected(t *testing.T) {
 	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated: got %v, want ErrCorrupt", err)
 	}
+}
+
+// oversizedTablePayload is a 23-byte table encoding whose row count
+// (2^25 rows of one float column) claims 256 MiB the payload does not
+// hold.
+var oversizedTablePayload = []byte{
+	5, 0, 0, 0, 's', 'a', 'l', 'e', 's', // name
+	1, 0, 0, 0, // one column
+	1, 0, 0, 0, 'v', byte(table.Float), // "v" float
+	0, 0, 0, 2, // 1<<25 rows
+}
+
+func TestDecodeTableBoundsRowCount(t *testing.T) {
+	if len(oversizedTablePayload) != 23 {
+		t.Fatalf("payload is %d bytes, want 23", len(oversizedTablePayload))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeTable(&reader{buf: oversizedTablePayload})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("oversized row count: got %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("decoding 23 bytes allocated %d bytes", n)
+	}
+	noCols := []byte{0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0} // "", no columns, 3 rows
+	if _, err := decodeTable(&reader{buf: noCols}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rows without columns: got %v, want ErrCorrupt", err)
+	}
+	empty := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // "", no columns, no rows
+	if tbl, err := decodeTable(&reader{buf: empty}); err != nil || tbl.NumRows() != 0 {
+		t.Fatalf("empty table: got %v, %v", tbl, err)
+	}
+}
+
+// FuzzDecodeTable: on arbitrary bytes the table decoder never panics
+// and never allocates beyond what the payload can back; whatever it
+// accepts re-encodes to a table that decodes identically.
+func FuzzDecodeTable(f *testing.F) {
+	f.Add(oversizedTablePayload)
+	w := &writer{}
+	if err := encodeTable(w, testTable(f, 7)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(w.buf)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, err := decodeTable(&reader{buf: data})
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !strings.HasPrefix(err.Error(), "wal: rebuilding table") {
+				t.Fatalf("decode error %v is neither ErrCorrupt nor a rebuild error", err)
+			}
+			return
+		}
+		if tbl.NumRows() > len(data) {
+			t.Fatalf("%d rows decoded from %d bytes", tbl.NumRows(), len(data))
+		}
+		w := &writer{}
+		if err := encodeTable(w, tbl); err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeTable(&reader{buf: w.buf})
+		if err != nil {
+			t.Fatalf("re-encoded table does not decode: %v", err)
+		}
+		w2 := &writer{}
+		if err := encodeTable(w2, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.buf, w2.buf) { // bytes, not values: NaN cells compare unequal
+			t.Fatal("re-encoded table decodes differently")
+		}
+	})
 }
 
 func TestSampleRoundTrip(t *testing.T) {
